@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import checker, models, proof
-from .definitions import literal_sat, parse_literal_lines
+from .definitions import DInput, literal_sat, parse_literal_lines
 from .syntax import Form, NegF, ParseError, parse_form, text_of_form
 
 PROG = "paldef"
@@ -150,8 +150,9 @@ def cmd_defcheck(args):
     details: dict = {"reason": result.reason, "detail": result.detail}
     lines = [f"UNSAT ({result.reason})", f"  {result.detail}"]
     if result.witness is not None:
-        witness_proof = proof.witness_to_proof(
-            result.witness, [l for l in equivs if l.positive])
+        used = result.witness.inputs()
+        premises = [l for l in equivs if l.positive and DInput(l.left, l.right) in used]
+        witness_proof = proof.witness_to_proof(result.witness, premises)
         out_path = Path(args.witness_out) if args.witness_out else (
             Path(args.literals).with_suffix(".witness.json"))
         out_path.write_text(proof.proof_to_json(witness_proof), encoding="utf-8")
@@ -175,8 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--machine", action="store_true",
                         help="emit one JSON object instead of human output")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (reproducibility hook)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def with_formula(p):

@@ -24,6 +24,7 @@ from .syntax import (
     is_circular, length, lex_key, parse_form, project_bool,
     text_of_bool, vocabulary,
 )
+from .models import truth
 
 __all__ = [
     "EquivLiteral", "DefState", "CircularWitness", "WitnessStep",
@@ -161,6 +162,25 @@ class CircularWitness:
         if not is_circular(lit.left, lit.right):
             raise ValueError(f"witness conclusion {lit} is not circular")
         return lit
+
+    def inputs(self) -> set[DInput]:
+        """The input literals that the base and the step premises rest on."""
+        found: set[DInput] = set()
+        seen: set[int] = set()
+        todo: list[Derivation] = [self.base] + [step.premise for step in self.steps]
+        while todo:
+            d = todo.pop()
+            if id(d) in seen:
+                continue
+            seen.add(id(d))
+            match d:
+                case DInput():
+                    found.add(d)
+                case DSym(of=of) | DNegParts(of=of) | DAndParts(of=of):
+                    todo.append(of)
+                case DTrans(first=first, second=second):
+                    todo += [first, second]
+        return found
 
     def describe(self) -> str:
         lines = [f"start  {text_of_bool(self.base.left)} == {text_of_bool(self.base.right)}"]
@@ -427,32 +447,9 @@ class DefState:
 
     def _atom_path(self, x: Atom, y: Atom) -> Derivation | None:
         """Derivation of x == y along recorded union edges; None when x is y."""
-        if x == y:
-            return None
-        prev: dict[Atom, tuple[Atom, Derivation]] = {x: (x, None)}
-        frontier = [x]
-        while frontier:
-            u = frontier.pop(0)
-            for v, just, _ in sorted(
-                self._edges.get(u, []), key=lambda e: (e[0].name, e[2])
-            ):
-                if v in prev:
-                    continue
-                prev[v] = (u, just)
-                if v == y:
-                    frontier = []
-                    break
-                frontier.append(v)
-        if y not in prev:
-            raise ValueError(f"no union path between {x} and {y}")
-        chain = []
-        node = y
-        while node != x:
-            node, just = prev[node]
-            chain.append(just)
-        d = chain[-1]
-        for just in reversed(chain[:-1]):
-            d = d_trans(d, just)
+        d = None
+        for _, _, just, _ in self._path_edges(x, y):
+            d = just if d is None else d_trans(d, just)
         return d
 
     def _path_edges(self, x: Atom, y: Atom) -> list[tuple[Atom, Atom, Derivation, int]]:
@@ -674,17 +671,6 @@ class SatCheck:
     valuation: dict[Atom, bool] | None = None
 
 
-def _eval_under(P: BoolForm, assignment: dict[Atom, bool]) -> bool:
-    match P:
-        case Atom():
-            return assignment[P]
-        case Neg(inner):
-            return not _eval_under(inner, assignment)
-        case And(left, right):
-            return _eval_under(left, assignment) and _eval_under(right, assignment)
-    raise TypeError(f"not a boolean formula: {P!r}")
-
-
 def literal_sat(equivs, constraints=()) -> SatCheck:
     """Decide a finite set of (dis)equivalences plus boolean constraints.
 
@@ -732,8 +718,8 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
 
     for bits in itertools.product((False, True), repeat=len(free_sorted)):
         assignment = dict(zip(free_sorted, bits))
-        if all(_eval_under(rc, assignment) for rc in resolved_constraints):
-            valuation = {a: _eval_under(resolved[a], assignment) for a in vocab_sorted}
+        if all(truth(rc, assignment) for rc in resolved_constraints):
+            valuation = {a: truth(resolved[a], assignment) for a in vocab_sorted}
             return SatCheck(True, definitions=resolved, valuation=valuation)
     return SatCheck(False, "boolean", "no assignment to the class representatives satisfies "
                     "the boolean constraints")

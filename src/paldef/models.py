@@ -10,6 +10,15 @@ V_w(p) = V_w(unravel(p)); `validate` checks exactly that, and the test suite
 guards the reduction by brute force.
 
 Models are immutable after validation; `restrict` returns a fresh model.
+
+The module also holds the propositional core that the decision procedures
+share.  `truth` evaluates a boolean formula under a dict valuation.  `Cnf`
+encodes skeletons into clauses: one variable per distinct leaf, one per
+conjunction node, and negation flips the literal.  It reads both layers'
+connectives (`Neg`/`And` and `NegF`/`AndF`); any other node is a leaf.
+`first_model` is the Davis-Logemann-Loveland search (CACM 5(7), 1962): unit
+propagation plus chronological branching, in a given variable order, False
+first, so the model it returns is the least one in that order.
 """
 
 from __future__ import annotations
@@ -20,12 +29,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .syntax import (
-    And, Atom, BoolForm, Neg, parse_bool, text_of_bool, vocabulary,
+    And, AndF, Atom, BoolForm, Neg, NegF, parse_bool, text_of_bool, vocabulary,
 )
 
 __all__ = [
     "Premodel", "Model", "Violation", "InvalidModelError",
-    "unravel", "eval_bool", "validate", "restrict",
+    "unravel", "eval_bool", "validate", "restrict", "truth", "Cnf", "first_model",
     "load", "save", "loads", "dumps", "premodel_from_dict", "premodel_to_dict",
     "single_world_model", "fixture_path", "fixture_names", "FIXTURE_ENV_VAR",
 ]
@@ -126,21 +135,113 @@ def unravel(model: Premodel, world: str, P: BoolForm) -> BoolForm:
     return go(P)
 
 
+def truth(P: BoolForm, vals) -> bool:
+    """Truth value of P under `vals`; KeyError names an unvalued atom."""
+    match P:
+        case Atom():
+            return vals[P]
+        case Neg(inner):
+            return not truth(inner, vals)
+        case And(left, right):
+            return truth(left, vals) and truth(right, vals)
+    raise TypeError(f"not a boolean formula: {P!r}")
+
+
 def eval_bool(model: Premodel, world: str, P: BoolForm) -> bool:
     """Standard truth-table lifting of the world's valuation."""
-    vals = model.valuation[world]
-    def go(f: BoolForm) -> bool:
-        match f:
-            case Atom():
-                if f not in vals:
-                    raise ValueError(f"unknown atom {f} at world {world!r}")
-                return vals[f]
-            case Neg(inner):
-                return not go(inner)
-            case And(left, right):
-                return go(left) and go(right)
-        raise TypeError(f"not a boolean formula: {f!r}")
-    return go(P)
+    try:
+        return truth(P, model.valuation[world])
+    except KeyError as e:
+        raise ValueError(f"unknown atom {e.args[0]} at world {world!r}") from None
+
+
+class Cnf:
+    """Clauses over variables 1..size; `leaves` maps each leaf to its variable."""
+
+    def __init__(self) -> None:
+        self.leaves: dict = {}
+        self.clauses: list[tuple[int, ...]] = []
+        self.size = 0
+
+    def literal(self, f) -> int:
+        """Literal equivalent to f; conjunctions get a gate variable."""
+        if isinstance(f, (Neg, NegF)):
+            return -self.literal(f.inner)
+        if isinstance(f, (And, AndF)):
+            a, b = self.literal(f.left), self.literal(f.right)
+            self.size += 1
+            g = self.size
+            self.clauses += ((-g, a), (-g, b), (g, -a, -b))
+            return g
+        var = self.leaves.get(f)
+        if var is None:
+            self.size += 1
+            var = self.leaves[f] = self.size
+        return var
+
+
+def first_model(cnf: Cnf, order: list[int]) -> list | None:
+    """Least model of the clauses in `order`, as a list indexed by variable.
+
+    Only the variables in `order` are branched on; a gate variable is fixed
+    by propagation once its leaves are, so `order` must cover every leaf
+    that occurs in a clause.  None when the clauses are unsatisfiable.
+    """
+    value: list = [None] * (cnf.size + 1)
+    trail: list[int] = []
+    falsified_by: dict[int, list[tuple[int, ...]]] = {}
+    for clause in cnf.clauses:
+        for lit in clause:
+            falsified_by.setdefault(-lit, []).append(clause)
+
+    def assign(lit: int) -> bool:
+        """Make lit true and propagate unit clauses; False on a conflict."""
+        queue = [lit]
+        while queue:
+            lit = queue.pop()
+            var, want = (lit, True) if lit > 0 else (-lit, False)
+            if value[var] is not None:
+                if value[var] != want:
+                    return False
+                continue
+            value[var] = want
+            trail.append(var)
+            for clause in falsified_by.get(lit, ()):
+                unit = 0
+                for other in clause:
+                    v = value[other if other > 0 else -other]
+                    if v is None:
+                        if unit:
+                            break
+                        unit = other
+                    elif v == (other > 0):
+                        break
+                else:
+                    if not unit:
+                        return False
+                    queue.append(unit)
+        return True
+
+    if not all(assign(c[0]) for c in cnf.clauses if len(c) == 1):
+        return None
+    decisions: list[tuple[int, int]] = []   # (index in order, trail mark) of False branches
+    i, ok = 0, True
+    while True:
+        if ok:
+            while i < len(order) and value[order[i]] is not None:
+                i += 1
+            if i == len(order):
+                return value
+            decisions.append((i, len(trail)))
+            ok = assign(-order[i])
+        else:
+            if not decisions:
+                return None
+            i, mark = decisions.pop()
+            for var in trail[mark:]:
+                value[var] = None
+            del trail[mark:]
+            ok = assign(order[i])
 
 
 def validate(premodel: Premodel) -> Model:

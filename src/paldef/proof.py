@@ -23,7 +23,7 @@ from .definitions import (
     CircularWitness, DAndParts, DInput, DNegParts, DSym, DTrans, Derivation,
     EquivLiteral, literal_sat,
 )
-from .models import Model, Premodel, validate
+from .models import Cnf, Model, Premodel, first_model, validate
 from .syntax import (
     And, AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF,
     Neg, NegF, OccSubst, apply_occ_subst, as_iff, as_imp, embed_bool,
@@ -45,45 +45,24 @@ TAUT_LEAF_LIMIT = 20
 
 
 class TautologyBudgetError(ValueError):
-    """Too many distinct abstracted leaves to truth-table."""
-
-
-def _abstract(formula: Form, leaves: dict[Form, int]):
-    """Skeleton over ~/& with maximal non-boolean subtrees as shared leaves."""
-    match formula:
-        case NegF(inner):
-            return ("not", _abstract(inner, leaves))
-        case AndF(left, right):
-            return ("and", _abstract(left, leaves), _abstract(right, leaves))
-        case _:
-            index = leaves.setdefault(formula, len(leaves))
-            return ("leaf", index)
+    """Too many distinct abstracted leaves to decide."""
 
 
 def is_tautology(formula: Form) -> bool:
-    """Truth-table the propositional skeleton of the formula.
+    """Whether the formula's propositional skeleton is valid: its negation has no model.
 
     Box-, announcement-, equivalence-, kd-, and definition-subtrees (and
     atoms) abstract to propositional letters; identical subtrees share one.
     """
-    leaves: dict[Form, int] = {}
-    skeleton = _abstract(formula, leaves)
-    n = len(leaves)
+    cnf = Cnf()
+    root = cnf.literal(formula)
+    n = len(cnf.leaves)
     if n > TAUT_LEAF_LIMIT:
         raise TautologyBudgetError(
             f"{n} distinct subformulas exceed the tautology budget of {TAUT_LEAF_LIMIT}"
         )
-
-    def run(node, row) -> bool:
-        match node:
-            case ("leaf", i):
-                return bool(row & (1 << i))
-            case ("not", inner):
-                return not run(inner, row)
-            case ("and", left, right):
-                return run(left, row) and run(right, row)
-
-    return all(run(skeleton, row) for row in range(1 << n))
+    cnf.clauses.append((-root,))
+    return first_model(cnf, list(cnf.leaves.values())) is None
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,52 @@ def _eval_bool_map(P: BoolForm, vals: dict[Atom, bool]) -> bool:
             return _eval_bool_map(left, vals) and _eval_bool_map(right, vals)
 
 
+def truth_table_models(constraints, atoms):
+    """Every assignment to `atoms` (sorted, False before True, first atom
+    most significant) under which all boolean constraints hold, in that
+    order: a brute-force truth table."""
+    atoms = sorted(atoms)
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        vals = dict(zip(atoms, bits))
+        if all(_eval_bool_map(c, vals) for c in constraints):
+            yield vals
+
+
+def _skeleton_leaves(f: Form, out: dict) -> None:
+    match f:
+        case NegF(inner):
+            _skeleton_leaves(inner, out)
+        case AndF(left, right):
+            _skeleton_leaves(left, out)
+            _skeleton_leaves(right, out)
+        case _:
+            out.setdefault(f, len(out))
+
+
+def _skeleton_value(f: Form, vals: dict) -> bool:
+    match f:
+        case NegF(inner):
+            return not _skeleton_value(inner, vals)
+        case AndF(left, right):
+            return _skeleton_value(left, vals) and _skeleton_value(right, vals)
+        case _:
+            return vals[f]
+
+
+def skeleton_leaf_count(f: Form) -> int:
+    leaves: dict = {}
+    _skeleton_leaves(f, leaves)
+    return len(leaves)
+
+
+def truth_table_tautology(f: Form) -> bool:
+    """Truth-table the ~/& skeleton of f, with every other subtree a letter."""
+    leaves: dict = {}
+    _skeleton_leaves(f, leaves)
+    return all(_skeleton_value(f, dict(zip(leaves, bits)))
+               for bits in itertools.product((False, True), repeat=len(leaves)))
+
+
 def random_valid_model(rng, *, max_worlds=4, n_atoms=3, n_agents=2,
                        def_len=5) -> Model:
     """Random model: per world, a set of defined atoms takes images over the

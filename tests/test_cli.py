@@ -118,6 +118,28 @@ class TestDefcheck:
         assert payload["details"]["witness_conclusion"] == "p == ~p"
         assert out_path.exists()
 
+    def test_long_circular_chain_proof_verifies(self, capsys, tmp_path):
+        lits = tmp_path / "circ16.lits"
+        lits.write_text("".join(f"x{k} == (x{(k + 1) % 16} & r)\n" for k in range(16)),
+                        encoding="utf-8")
+        out_path = tmp_path / "circ16.json"
+        code, _, _ = run(capsys, "defcheck", str(lits), "--witness-out", str(out_path))
+        assert code == 1
+        code, out, _ = run(capsys, "prove-verify", str(out_path))
+        assert code == 0 and out.strip() == "ok"
+
+    def test_proof_uses_only_the_premises_of_the_witness(self, capsys, tmp_path):
+        lines = ["x0 == (x1 & r)", "x1 == (x0 & r)"] + [f"y{k} == ~z{k}" for k in range(25)]
+        lits = tmp_path / "two.lits"
+        lits.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path = tmp_path / "two.json"
+        code, _, _ = run(capsys, "defcheck", str(lits), "--witness-out", str(out_path))
+        assert code == 1
+        text = out_path.read_text(encoding="utf-8")
+        assert "x0 == (x1 & r)" in text and "y0" not in text and "z24" not in text
+        code, out, _ = run(capsys, "prove-verify", str(out_path))
+        assert code == 0 and out.strip() == "ok"
+
 
 class TestProveVerify:
     def test_ok_and_rejection(self, capsys, tmp_path):

@@ -15,7 +15,8 @@ from paldef.syntax import (
 )
 
 from helpers import (
-    BoundedClosure, all_bools, random_bool, single_world_oracle,
+    BoundedClosure, _eval_bool_map, all_bools, random_bool, single_world_oracle,
+    truth_table_models,
 )
 
 p, q, r, s, t = (Atom(n) for n in "pqrst")
@@ -253,6 +254,50 @@ class TestLiteralSat:
                 assert not oracle, (equivs, constraints)
             checked += 1
         assert checked == 60
+
+
+def _iff(a, b):
+    return And(Neg(And(a, Neg(b))), Neg(And(b, Neg(a))))
+
+
+class TestLiteralSatAgainstTruthTable:
+    def test_constraint_sets(self):
+        rng = random.Random(3003)
+        verdicts = []
+        for _ in range(300):
+            constraints = [random_bool(rng, (p, q, r, s), 8) for _ in range(rng.randint(1, 6))]
+            atoms = set().union(*map(vocabulary, constraints))
+            least = next(truth_table_models(constraints, atoms), None)
+            result = literal_sat([], constraints)
+            verdicts.append(result.satisfiable)
+            assert result.satisfiable == (least is not None), constraints
+            if result.satisfiable:
+                assert all(_eval_bool_map(c, result.valuation) for c in constraints)
+                # the seed is the least assignment: sorted atoms, False first
+                assert result.valuation == least
+            else:
+                assert result.reason == "boolean"
+        assert 30 <= verdicts.count(False) <= 270
+
+    def test_constraint_sets_under_definitions(self):
+        rng = random.Random(3004)
+        atoms = (p, q, r, s, t)
+        verdicts = []
+        for _ in range(200):
+            equivs = []
+            for k in rng.sample(range(3), rng.randint(0, 3)):
+                image = random_bool(rng, atoms[k + 1:], 7)
+                equivs.append(EquivLiteral(True, atoms[k], image))
+            constraints = [random_bool(rng, atoms, 7) for _ in range(rng.randint(1, 4))]
+            as_iffs = [_iff(lit.left, lit.right) for lit in equivs]
+            result = literal_sat(equivs, constraints)
+            brute = next(truth_table_models(constraints + as_iffs, atoms), None)
+            verdicts.append(result.satisfiable)
+            assert result.satisfiable == (brute is not None), (equivs, constraints)
+            if result.satisfiable:
+                vals = result.valuation
+                assert all(_eval_bool_map(c, vals) for c in constraints + as_iffs)
+        assert 20 <= verdicts.count(False) <= 180
 
 
 class TestClosureOracleAgreement:

@@ -6,13 +6,13 @@ import random
 import pytest
 
 from paldef.models import (
-    InvalidModelError, Model, Premodel, dumps, eval_bool, fixture_names,
-    fixture_path, load, loads, restrict, save, single_world_model, unravel,
-    validate,
+    Cnf, InvalidModelError, Model, Premodel, dumps, eval_bool, first_model,
+    fixture_names, fixture_path, load, loads, restrict, save,
+    single_world_model, truth, unravel, validate,
 )
-from paldef.syntax import And, Atom, Neg, parse_bool
+from paldef.syntax import And, Atom, Neg, parse_bool, vocabulary
 
-from helpers import all_bools, random_valid_model
+from helpers import all_bools, random_bool, random_valid_model, truth_table_models
 
 p, q, r, s = (Atom(n) for n in "pqrs")
 
@@ -83,6 +83,42 @@ class TestEvalBool:
     def test_contradiction(self, figs):
         for w in figs["fig1"].worlds:
             assert eval_bool(figs["fig1"], w, And(p, Neg(p))) is False
+
+
+def _least_model(constraints):
+    """first_model over the constraints, branching on their atoms in sorted order."""
+    cnf = Cnf()
+    cnf.clauses += [(cnf.literal(c),) for c in constraints]
+    atoms = sorted(cnf.leaves)
+    model = first_model(cnf, [cnf.leaves[a] for a in atoms])
+    return None if model is None else {a: model[cnf.leaves[a]] for a in atoms}
+
+
+class TestPropositionalCore:
+    def test_truth_reports_an_unvalued_atom(self):
+        assert truth(And(p, Neg(q)), {p: True, q: False}) is True
+        with pytest.raises(KeyError):
+            truth(And(p, q), {p: True})
+
+    def test_least_model_agrees_with_truth_table(self):
+        rng = random.Random(5005)
+        verdicts = []
+        for _ in range(300):
+            constraints = [random_bool(rng, (p, q, r, s), 8) for _ in range(rng.randint(1, 6))]
+            atoms = set().union(*map(vocabulary, constraints))
+            least = next(truth_table_models(constraints, atoms), None)
+            assert _least_model(constraints) == least, constraints
+            verdicts.append(least is not None)
+        assert 30 <= verdicts.count(False) <= 270
+
+    def test_many_unit_constraints(self):
+        units = [Atom(f"x{k}") for k in range(64)]
+        assert _least_model(units) == {a: True for a in units}
+        conjunction = units[0]
+        for a in units[1:]:
+            conjunction = And(conjunction, a)
+        assert _least_model([conjunction]) == {a: True for a in units}
+        assert _least_model(units + [Neg(units[-1])]) is None
 
 
 class TestValidate:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from paldef.checker import evaluate
-from paldef.definitions import EquivLiteral, literal_sat
+from paldef.definitions import DInput, EquivLiteral, literal_sat
 from paldef.models import Model, validate
 from paldef.proof import (
     ProofLine, ReductionError, TautologyBudgetError, is_axiom_instance,
@@ -13,12 +13,14 @@ from paldef.proof import (
     satisfiable, valid, verify_proof, witness_to_proof,
 )
 from paldef.syntax import (
-    And, AndF, Atom, AtomF, EquivF, NegF, OccSubst, apply_occ_subst,
-    mk_imp, occurrences, parse_form, text_of_form,
+    And, AndF, AnnF, Atom, AtomF, BoxF, DefIsF, EquivF, KdF, Neg, NegF,
+    OccSubst, apply_occ_subst, mk_imp, mk_or, occurrences, parse_form,
+    text_of_form,
 )
 
 from helpers import (
     Depth1Oracle, enumerate_depth1_forms, model_pool, random_bool, random_form,
+    skeleton_leaf_count, truth_table_tautology,
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
@@ -49,6 +51,32 @@ class TestTautology:
             f = random_form(rng, (p, q, r), ("i", "j"), 3,
                             allow_ann=True, allow_kd=True)
             assert is_tautology(parse_form(f"({text_of_form(f)} | ~{text_of_form(f)})"))
+
+    def test_agrees_with_truth_table(self):
+        rng = random.Random(4004)
+        pool = [P, Q, R, S, BoxF("i", P), BoxF("j", NegF(Q)), EquivF(p, q),
+                EquivF(q, p), EquivF(Neg(p), And(q, r)), AnnF(P, Q), KdF("i", p),
+                DefIsF(q, Neg(r)), BoxF("i", AndF(P, Q)), AnnF(R, BoxF("j", S))]
+
+        def tree(depth, leaves):
+            if depth == 0 or rng.random() < 0.2:
+                return rng.choice(leaves)
+            if rng.random() < 0.35:
+                return NegF(tree(depth - 1, leaves))
+            return AndF(tree(depth - 1, leaves), tree(depth - 1, leaves))
+
+        verdicts = []
+        for _ in range(400):
+            leaves = rng.sample(pool, rng.randint(1, 12))
+            f = tree(rng.randint(1, 7), leaves)
+            if rng.random() < 0.3:
+                g = tree(3, leaves)
+                f = mk_imp(AndF(f, g), mk_or(tree(3, leaves), f))
+            assert skeleton_leaf_count(f) <= 12
+            verdict = is_tautology(f)
+            assert verdict == truth_table_tautology(f), text_of_form(f)
+            verdicts.append(verdict)
+        assert 40 <= verdicts.count(True) <= 360
 
 
 class TestAxiomInstances:
@@ -309,3 +337,24 @@ class TestWitnessProofs:
             assert outcome.ok, (lits, str(outcome))
             compiled += 1
         assert compiled > 40
+
+    def test_proofs_from_the_premises_the_witness_uses(self):
+        rng = random.Random(45)
+        atoms = (p, q, r, s, Atom("t"))
+        compiled = narrowed = 0
+        for _ in range(300):
+            lits = []
+            for _ in range(rng.randint(2, 6)):
+                rhs = rng.choice(atoms) if rng.random() < 0.3 else random_bool(rng, atoms, 7)
+                lits.append(EquivLiteral(True, rng.choice(atoms), rhs))
+            res = literal_sat(lits)
+            if res.reason != "circular":
+                continue
+            used = res.witness.inputs()
+            assert used <= {DInput(l.left, l.right) for l in lits}
+            premises = [l for l in lits if DInput(l.left, l.right) in used]
+            outcome = verify_proof(witness_to_proof(res.witness, premises))
+            assert outcome.ok, (lits, str(outcome))
+            compiled += 1
+            narrowed += len(premises) < len(lits)
+        assert compiled > 60 and narrowed > 20
