@@ -350,30 +350,53 @@ def premodel_to_dict(model: Premodel) -> dict:
     return data
 
 
-def premodel_from_dict(data: dict) -> Premodel:
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", bool: "true or false"}
+
+
+def json_typed(value, kind: type, what: str):
+    """value, if it has the JSON type kind; else a ValueError naming what."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _world_pairs(pairs, agent: str) -> frozenset[tuple[str, str]]:
     try:
-        vocab = tuple(Atom(name) for name in data["vocabulary"])
-        agents = tuple(data["agents"])
-        world_entries = data["worlds"]
-        worlds = tuple(entry["id"] for entry in world_entries)
+        return frozenset((u, v) for u, v in pairs)
+    except (TypeError, ValueError):
+        raise ValueError(f'"relations" of {agent} must be a list of pairs of world ids') from None
+
+
+def premodel_from_dict(data: dict) -> Premodel:
+    """The premodel a model file's JSON value describes; a wrong shape
+    raises ValueError naming the field."""
+    json_typed(data, dict, "a model file")
+    try:
+        vocab = tuple(Atom(json_typed(name, str, "each vocabulary entry"))
+                      for name in json_typed(data["vocabulary"], list, '"vocabulary"'))
+        agents = tuple(json_typed(agent, str, "each agent")
+                       for agent in json_typed(data["agents"], list, '"agents"'))
+        worlds = []
         valuation = {}
         definitions = {}
-        for entry in world_entries:
-            w = entry["id"]
-            valuation[w] = {Atom(name): bool(value)
-                            for name, value in entry["valuation"].items()}
-            definitions[w] = {Atom(name): parse_bool(text)
-                              for name, text in entry["def"].items()}
-        relations = {
-            agent: frozenset((u, v) for u, v in pairs)
-            for agent, pairs in data.get("relations", {}).items()
-        }
+        for entry in json_typed(data["worlds"], list, '"worlds"'):
+            w = json_typed(json_typed(entry, dict, "each world")["id"], str, 'a world "id"')
+            worlds.append(w)
+            valuation[w] = {Atom(name): json_typed(value, bool, '"valuation" value')
+                            for name, value in json_typed(entry["valuation"], dict, '"valuation"').items()}
+            definitions[w] = {Atom(name): parse_bool(json_typed(text, str, '"def" image'))
+                              for name, text in json_typed(entry["def"], dict, '"def"').items()}
+        relations = {agent: _world_pairs(pairs, agent) for agent, pairs in
+                     json_typed(data.get("relations", {}), dict, '"relations"').items()}
         for agent in agents:
             relations.setdefault(agent, frozenset())
         actual = data.get("actual")
+        if actual is not None:
+            json_typed(actual, str, '"actual"')
     except KeyError as e:
         raise ValueError(f"model file is missing key {e}") from None
-    return Premodel(vocab, agents, worlds, valuation, definitions, relations, actual)
+    return Premodel(vocab, agents, tuple(worlds), valuation, definitions, relations, actual)
 
 
 def dumps(model: Premodel) -> str:

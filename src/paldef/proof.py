@@ -23,12 +23,11 @@ from .definitions import (
     CircularWitness, DAndParts, DInput, DNegParts, DSym, DTrans, Derivation,
     EquivLiteral, literal_sat,
 )
-from .models import Cnf, Model, Premodel, first_model, validate
+from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
-    And, AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF,
-    Neg, NegF, OccSubst, apply_occ_subst, as_iff, as_imp, embed_bool,
-    form_agents, form_vocabulary, mk_iff, mk_imp, occurrences, parse_form,
-    text_of_form, vocabulary,
+    AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg,
+    NegF, OccSubst, apply_occ_subst, as_iff, embed_bool, form_agents,
+    form_vocabulary, mk_imp, occurrences, parse_form, text_of_form, vocabulary,
 )
 
 __all__ = [
@@ -67,149 +66,91 @@ def is_tautology(formula: Form) -> bool:
 
 # ---------------------------------------------------------------------------
 # Axiom schemas
+#
+# Each law is written once, as schema text.  Every name in a schema is a
+# metavariable: `p` is any atom, the agent `a` is any agent, and any other
+# letter is any formula of its layer.  A letter used in both layers (the x and
+# y of `equivalence`) is a boolean formula in one and its embedding in the
+# other.  The table serves the verifier, announcement reduction and the
+# circularity proofs alike; its order fixes which name a formula gets first.
 
-def _match_k(f: Form):
-    top = as_imp(f)
-    if not top:
-        return False
-    match top[0]:
-        case BoxF(agent, body):
-            inner = as_imp(body)
-            rest = as_imp(top[1])
-            if inner and rest:
-                return (rest[0] == BoxF(agent, inner[0])
-                        and rest[1] == BoxF(agent, inner[1]))
-    return False
-
-def _match_reduction_atom(f: Form):
-    both = as_iff(f)
-    match both:
-        case (AnnF(announced, AtomF() as body), rhs):
-            return rhs == mk_imp(announced, body)
-    return False
-
-def _match_reduction_equiv(f: Form):
-    both = as_iff(f)
-    match both:
-        case (AnnF(announced, EquivF() as body), rhs):
-            return rhs == mk_imp(announced, body)
-    return False
-
-def _match_reduction_neg(f: Form):
-    both = as_iff(f)
-    match both:
-        case (AnnF(announced, NegF(inner)), rhs):
-            return rhs == mk_imp(announced, NegF(AnnF(announced, inner)))
-    return False
-
-def _match_reduction_and(f: Form):
-    both = as_iff(f)
-    match both:
-        case (AnnF(announced, AndF(left, right)), rhs):
-            return rhs == AndF(AnnF(announced, left), AnnF(announced, right))
-    return False
-
-def _match_reduction_box(f: Form):
-    both = as_iff(f)
-    match both:
-        case (AnnF(announced, BoxF(agent, inner)), rhs):
-            return rhs == mk_imp(
-                announced, BoxF(agent, mk_imp(announced, AnnF(announced, inner))))
-    return False
-
-def _match_reduction_comp(f: Form):
-    both = as_iff(f)
-    match both:
-        case (AnnF(announced, AnnF(second, body)), rhs):
-            return rhs == AnnF(AndF(announced, AnnF(announced, second)), body)
-    return False
-
-def _match_reflexivity(f: Form):
-    match f:
-        case EquivF(left, right):
-            return left == right
-    return False
-
-def _match_symmetry(f: Form):
-    top = as_imp(f)
-    match top:
-        case (EquivF(a, b), EquivF(c, d)):
-            return a == d and b == c
-    return False
-
-def _match_transitivity(f: Form):
-    top = as_imp(f)
-    match top:
-        case (AndF(EquivF(a, b), EquivF(b2, c)), EquivF(a2, c2)):
-            return a == a2 and b == b2 and c == c2
-    return False
-
-def _match_equivalence(f: Form):
-    top = as_imp(f)
-    match top:
-        case (EquivF(a, b), rhs):
-            return rhs == mk_iff(embed_bool(a), embed_bool(b))
-    return False
-
-def _match_occurrence_substitution(f: Form):
-    top = as_imp(f)
-    match top:
-        case (AndF(EquivF(Atom() as p, q), EquivF(r, s)), EquivF(r2, target)):
-            if r != r2:
-                return False
-            return any(
-                apply_occ_subst(OccSubst(k, p, q), s) == target
-                for k in range(1, occurrences(p, s) + 1)
-            )
-    return False
-
-def _match_pattern_neg(f: Form):
-    both = as_iff(f)
-    match both:
-        case (EquivF(Neg(a), Neg(b)), EquivF(a2, b2)):
-            return a == a2 and b == b2
-    return False
-
-def _match_pattern_and(f: Form):
-    both = as_iff(f)
-    match both:
-        case (EquivF(And(a, b), And(c, d)), AndF(EquivF(a2, c2), EquivF(b2, d2))):
-            return (a, b, c, d) == (a2, b2, c2, d2)
-    return False
-
-def _match_pattern_mismatch(f: Form):
-    match f:
-        case NegF(EquivF(Neg(), And())):
-            return True
-    return False
-
-def _match_non_circularity(f: Form):
-    match f:
-        case NegF(EquivF(Atom() as p, body)):
-            return body != p and p in vocabulary(body)
-    return False
-
-
-_SCHEMAS = [
-    ("K", _match_k),
-    ("reduction-atom", _match_reduction_atom),
-    ("reduction-equiv", _match_reduction_equiv),
-    ("reduction-neg", _match_reduction_neg),
-    ("reduction-and", _match_reduction_and),
-    ("reduction-box", _match_reduction_box),
-    ("reduction-comp", _match_reduction_comp),
-    ("reflexivity", _match_reflexivity),
-    ("symmetry", _match_symmetry),
-    ("transitivity", _match_transitivity),
-    ("equivalence", _match_equivalence),
-    ("occurrence-substitution", _match_occurrence_substitution),
-    ("pattern-neg", _match_pattern_neg),
-    ("pattern-and", _match_pattern_and),
-    ("pattern-mismatch", _match_pattern_mismatch),
-    ("non-circularity", _match_non_circularity),
+_SCHEMA_TEXTS = [
+    ("K", "box a (x -> y) -> (box a x -> box a y)"),
+    ("reduction-atom", "[x] p <-> (x -> p)"),
+    ("reduction-equiv", "[x] (y == z) <-> (x -> (y == z))"),
+    ("reduction-neg", "[x] ~y <-> (x -> ~[x] y)"),
+    ("reduction-and", "[x] (y & z) <-> ([x] y & [x] z)"),
+    ("reduction-box", "[x] box a y <-> (x -> box a (x -> [x] y))"),
+    ("reduction-comp", "[x][y] z <-> [x & [x] y] z"),
+    ("reflexivity", "x == x"),
+    ("symmetry", "(x == y) -> (y == x)"),
+    ("transitivity", "((x == y) & (y == z)) -> (x == z)"),
+    ("equivalence", "(x == y) -> (x <-> y)"),
+    ("occurrence-substitution", "((p == x) & (y == z)) -> (y == w)"),
+    ("pattern-neg", "(~x == ~y) <-> (x == y)"),
+    ("pattern-and", "((x & y) == (z & w)) <-> ((x == z) & (y == w))"),
+    ("pattern-mismatch", "~(~x == (y & z))"),
+    ("non-circularity", "~(p == x)"),
 ]
+_SCHEMAS = {name: parse_form(text) for name, text in _SCHEMA_TEXTS}
 
-AXIOM_NAMES = tuple(name for name, _ in _SCHEMAS) + ("taut",)
+_SIDE_CONDITIONS = {
+    # w is z with one occurrence of p replaced by x
+    "occurrence-substitution": lambda env: any(
+        apply_occ_subst(OccSubst(k, env["p"], env["x"]), env["z"]) == env["w"]
+        for k in range(1, occurrences(env["p"], env["z"]) + 1)),
+    "non-circularity": lambda env: env["x"] != env["p"] and env["p"] in vocabulary(env["x"]),
+}
+
+AXIOM_NAMES = tuple(_SCHEMAS) + ("taut",)
+
+
+def _bind(name: str, value, env: dict) -> bool:
+    """Bind the metavariable name to value, or check value against its binding."""
+    if name == "p" and not isinstance(value, Atom | AtomF):
+        return False
+    if name not in env:
+        env[name] = value
+        return True
+    bound = env[name]
+    if isinstance(bound, BoolForm) and not isinstance(value, BoolForm):
+        bound = embed_bool(bound)
+    elif isinstance(value, BoolForm) and not isinstance(bound, BoolForm):
+        value = embed_bool(value)
+    return bound == value
+
+
+def _match(schema, f, env: dict) -> bool:
+    """Whether f instantiates schema under env, extending env as it goes."""
+    match schema:
+        case Atom(name) | AtomF(Atom(name)):
+            return _bind(name, f, env)
+        case str():
+            return _bind(schema, f, env)
+    return type(schema) is type(f) and all(
+        _match(getattr(schema, k), getattr(f, k), env) for k in schema.__match_args__)
+
+
+def _instance(schema, env: dict, push: bool = False):
+    """The schema with its metavariables replaced by their values in env.
+
+    With push, each announcement of the schema is rewritten by `_push` as it
+    is built.
+    """
+    match schema:
+        case Atom(name) | str(name):
+            return env[name]
+        case AtomF(Atom(name)):
+            value = env[name]
+            return embed_bool(value) if isinstance(value, BoolForm) else value
+        case AnnF(announced, inner) if push:
+            return _push(_instance(announced, env, True), _instance(inner, env, True))
+    return type(schema)(*[_instance(getattr(schema, k), env, push)
+                          for k in schema.__match_args__])
+
+
+def _axiom(name: str, **env) -> Form:
+    return _instance(_SCHEMAS[name], env)
 
 
 def is_axiom_instance(formula: Form) -> str | None:
@@ -219,8 +160,10 @@ def is_axiom_instance(formula: Form) -> str | None:
     tautology check raises TautologyBudgetError past the leaf limit, which
     is distinct from a plain no-match.
     """
-    for name, matcher in _SCHEMAS:
-        if matcher(formula):
+    for name, schema in _SCHEMAS.items():
+        env: dict = {}
+        side = _SIDE_CONDITIONS.get(name)
+        if _match(schema, formula, env) and (side is None or side(env)):
             return name
     if is_tautology(formula):
         return "taut"
@@ -305,16 +248,22 @@ def proof_to_json(lines) -> str:
 
 
 def proof_from_json(text: str) -> list[ProofLine]:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("a proof file is a JSON list of line objects")
+    """The lines of a proof file; a wrong shape raises ValueError naming the field."""
     lines = []
-    for entry in data:
+    for no, entry in enumerate(json_typed(json.loads(text), list, "a proof file"), start=1):
+        where = f"proof line {no}"
+        json_typed(entry, dict, where)
+        try:
+            formula, rule = entry["formula"], entry["rule"]
+        except KeyError as e:
+            raise ValueError(f"{where} is missing key {e}") from None
+        agent = entry.get("agent")
         lines.append(ProofLine(
-            formula=parse_form(entry["formula"]),
-            rule=entry["rule"],
-            refs=tuple(entry.get("refs", ())),
-            agent=entry.get("agent"),
+            formula=parse_form(json_typed(formula, str, f'{where}: "formula"')),
+            rule=json_typed(rule, str, f'{where}: "rule"'),
+            refs=tuple(json_typed(ref, int, f'{where}: each of "refs"')
+                       for ref in json_typed(entry.get("refs", []), list, f'{where}: "refs"')),
+            agent=None if agent is None else json_typed(agent, str, f'{where}: "agent"'),
         ))
     return lines
 
@@ -342,24 +291,28 @@ def reduce_announcements(formula: Form) -> Form:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+# The reduction law for `[x] body`, by the constructor of body.
+_REDUCTIONS = {type(lhs.inner): (lhs, rhs) for lhs, rhs in (
+    as_iff(schema) for name, schema in _SCHEMAS.items() if name.startswith("reduction-"))}
+
+
 def _push(announced: Form, body: Form) -> Form:
-    """Rewrite [announced] body, with announced already announcement-free."""
-    match body:
-        case AtomF() | EquivF():
-            return mk_imp(announced, body)
-        case NegF(inner):
-            return mk_imp(announced, NegF(_push(announced, inner)))
-        case AndF(left, right):
-            return AndF(_push(announced, left), _push(announced, right))
-        case BoxF(agent, inner):
-            return mk_imp(announced, BoxF(agent, mk_imp(announced, _push(announced, inner))))
-        case AnnF(second, inner):
-            return _push(AndF(announced, _push(announced, second)), inner)
-        case KdF() | DefIsF():
+    """Rewrite [announced] body, with announced already announcement-free.
+
+    The right-hand side of the body's reduction law is built with its own
+    announcements pushed in turn, so compositions flatten innermost first.
+    """
+    law = _REDUCTIONS.get(type(body))
+    if law is None:
+        if isinstance(body, KdF | DefIsF):
             raise ReductionError(
                 f"no reduction law for {text_of_form(body)} under an announcement"
             )
-    raise TypeError(f"not a formula: {body!r}")
+        raise TypeError(f"not a formula: {body!r}")
+    lhs, rhs = law
+    env: dict = {}
+    _match(lhs, AnnF(announced, body), env)
+    return _instance(rhs, env, push=True)
 
 
 # ---------------------------------------------------------------------------
@@ -536,75 +489,62 @@ def witness_to_proof(witness: CircularWitness, premises) -> list[ProofLine]:
         by_formula.setdefault(formula, len(lines))
         return len(lines)
 
-    def chain1(line_ca: int, a: Form, via: Form, d: Form) -> int:
-        """From C->a and an axiom `via` that propositionally yields a->d."""
-        ca = mk_imp(big_c, a)
+    def chain(premises: list[tuple[int, Form]], via: Form, d: Form) -> int:
+        """From the lines `C -> f` of the premises f and an axiom `via`
+        that yields d from them propositionally."""
         cd = mk_imp(big_c, d)
-        t = add(mk_imp(ca, mk_imp(via, cd)), "taut")
-        step = add(mk_imp(via, cd), "mp", (line_ca, t))
-        via_line = add(via, "axiom")
-        return add(cd, "mp", (via_line, step))
-
-    def chain2(line_ca: int, a: Form, line_cb: int, b: Form, via: Form, d: Form) -> int:
-        """From C->a, C->b and an axiom `via` = (a & b) -> d."""
-        ca, cb, cd = mk_imp(big_c, a), mk_imp(big_c, b), mk_imp(big_c, d)
-        t = add(mk_imp(ca, mk_imp(cb, mk_imp(via, cd))), "taut")
-        s1 = add(mk_imp(cb, mk_imp(via, cd)), "mp", (line_ca, t))
-        s2 = add(mk_imp(via, cd), "mp", (line_cb, s1))
-        via_line = add(via, "axiom")
-        return add(cd, "mp", (via_line, s2))
+        goals = [mk_imp(via, cd)]
+        for _, f in reversed(premises):
+            goals.append(mk_imp(mk_imp(big_c, f), goals[-1]))
+        line = add(goals.pop(), "taut")
+        for ref, _ in premises:
+            line = add(goals.pop(), "mp", (ref, line))
+        return add(cd, "mp", (add(via, "axiom"), line))
 
     derived: dict[Form, int] = {}
+
+    def given(d: Derivation) -> tuple[int, Form]:
+        return derive(d), EquivF(d.left, d.right)
 
     def derive(d: Derivation) -> int:
         """Line number of `C -> (d.left == d.right)`."""
         lit = EquivF(d.left, d.right)
-        target = mk_imp(big_c, lit)
         if lit in derived:
             return derived[lit]
         match d:
             case DInput():
                 if lit not in premise_forms:
                     raise ValueError(f"witness uses unknown premise {text_of_form(lit)}")
-                line = add(target, "taut")
+                line = add(mk_imp(big_c, lit), "taut")
             case DSym(_, _, of):
-                base = derive(of)
-                src = EquivF(of.left, of.right)
-                line = chain1(base, src, mk_imp(src, lit), lit)
-            case DNegParts(_, _, of):
-                base = derive(of)
-                src = EquivF(of.left, of.right)
-                line = chain1(base, src, mk_iff(src, lit), lit)
-            case DAndParts(_, _, of, side):
-                base = derive(of)
-                src = EquivF(of.left, of.right)
-                both = AndF(EquivF(of.left.left, of.right.left),
-                            EquivF(of.left.right, of.right.right))
-                line = chain1(base, src, mk_iff(src, both), lit)
+                line = chain([given(of)], _axiom("symmetry", x=of.left, y=of.right), lit)
+            case DNegParts(left, right, of):
+                line = chain([given(of)], _axiom("pattern-neg", x=left, y=right), lit)
+            case DAndParts(_, _, of, _):
+                via = _axiom("pattern-and", x=of.left.left, y=of.left.right,
+                             z=of.right.left, w=of.right.right)
+                line = chain([given(of)], via, lit)
             case DTrans(_, _, first, second):
-                la, lb = derive(first), derive(second)
-                a = EquivF(first.left, first.right)
-                b = EquivF(second.left, second.right)
-                via = mk_imp(AndF(a, b), lit)
-                line = chain2(la, a, lb, b, via, lit)
+                via = _axiom("transitivity", x=first.left, y=first.right, z=second.right)
+                line = chain([given(first), given(second)], via, lit)
             case _:
                 raise TypeError(f"unknown derivation node {d!r}")
         derived[lit] = line
         return line
 
-    current = EquivF(witness.base.left, witness.base.right)
-    line_current = derive(witness.base)
+    atom = witness.base.left
+    line_current, current = given(witness.base)
     rhs = witness.base.right
     for step in witness.steps:
-        premise = EquivF(step.premise.left, step.premise.right)
-        line_premise = derive(step.premise)
-        rhs = apply_occ_subst(step.subst, rhs)
-        conclusion = EquivF(witness.base.left, rhs)
-        via = mk_imp(AndF(premise, current), conclusion)
-        line_current = chain2(line_premise, premise, line_current, current, via, conclusion)
-        current = conclusion
+        premise = given(step.premise)
+        rewritten = apply_occ_subst(step.subst, rhs)
+        via = _axiom("occurrence-substitution", p=step.premise.left, x=step.premise.right,
+                     y=atom, z=rhs, w=rewritten)
+        conclusion = EquivF(atom, rewritten)
+        line_current = chain([premise, (line_current, current)], via, conclusion)
+        rhs, current = rewritten, conclusion
 
-    non_circ = add(NegF(current), "axiom")
+    non_circ = add(_axiom("non-circularity", p=atom, x=rhs), "axiom")
     flip = add(mk_imp(mk_imp(big_c, current),
                       mk_imp(NegF(current), NegF(big_c))), "taut")
     s = add(mk_imp(NegF(current), NegF(big_c)), "mp", (line_current, flip))

@@ -354,32 +354,7 @@ class OccSubst:
 
 def apply_occ_subst(s: OccSubst, Q: BoolForm) -> BoolForm:
     """Replace exactly the s.index-th occurrence of s.atom in Q."""
-    total = occurrences(s.atom, Q)
-    if s.index > total:
-        raise ValueError(
-            f"occurrence {s.index} of {s.atom} out of range in "
-            f"{text_of_bool(Q)} (has {total})"
-        )
-
-    def go(f: BoolForm, seen: int) -> tuple[BoolForm, int]:
-        match f:
-            case Atom():
-                if f == s.atom:
-                    seen += 1
-                    if seen == s.index:
-                        return s.replacement, seen
-                return f, seen
-            case Neg(inner):
-                new, seen = go(inner, seen)
-                return Neg(new), seen
-            case And(left, right):
-                new_l, seen = go(left, seen)
-                new_r, seen = go(right, seen)
-                return And(new_l, new_r), seen
-        raise TypeError(f"not a boolean formula: {f!r}")
-
-    result, _ = go(Q, 0)
-    return result
+    return apply_simultaneous((s,), Q)
 
 
 def apply_simultaneous(subs: list[OccSubst] | tuple[OccSubst, ...], Q: BoolForm) -> BoolForm:

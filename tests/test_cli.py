@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from paldef.cli import main
 from paldef.models import dumps, fixture_path, load
 from paldef.proof import proof_from_json, verify_proof
@@ -157,6 +159,46 @@ class TestProveVerify:
         ]), encoding="utf-8")
         code, out, _ = run(capsys, "prove-verify", str(bad))
         assert code == 1 and "line 1" in out
+
+
+def _fig1_with(path, value):
+    data = json.loads(dumps(load(fixture_path("fig1"))))
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+def _line(**fields):
+    return [{"formula": "p -> p", "rule": "taut", **fields}]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("argv,content,field", [
+        (("prove-verify",), [1], "proof line 1"),
+        (("prove-verify",), [{"rule": "axiom"}], "'formula'"),
+        (("prove-verify",), _line(refs="ab"), '"refs"'),
+        (("prove-verify",), _line(refs=[1.5]), '"refs"'),
+        (("prove-verify",), _line(rule="nec", refs=[1], agent=5), '"agent"'),
+        (("prove-verify",), _line(formula=5), '"formula"'),
+        (("validate",), [], "model file"),
+        (("validate",), {"vocabulary": 5}, '"vocabulary"'),
+        (("validate",), _fig1_with(("worlds", 0, "def", "p"), 7), '"def"'),
+        (("validate",), _fig1_with(("relations", "i", 0), ["left"]), '"relations"'),
+        (("check", "p"), [], "model file"),
+        (("check", "p"), {"vocabulary": 5}, '"vocabulary"'),
+        (("check", "p"), _fig1_with(("worlds", 0, "def", "p"), 7), '"def"'),
+    ])
+    def test_wrong_shape_is_an_error_naming_the_field(self, capsys, tmp_path,
+                                                       argv, content, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content), encoding="utf-8")
+        code, out, _ = run(capsys, "--machine", argv[0], str(path), *argv[1:])
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["verdict"] == "error" and field in payload["details"]["message"]
 
 
 class TestMiscellaneous:

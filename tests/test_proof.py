@@ -108,6 +108,23 @@ class TestAxiomInstances:
         "((p == q) & (r == s)) -> (r == (q & s))",
         "~(p == (q & r))",                       # left side not an atom in rhs
         "(p & q) != (q & p)",                    # mismatch axiom needs ~ vs &
+        # one near-miss per schema, in table order
+        "box i (p -> q) -> (box i p -> box j q)",           # K: agent
+        "[q](p & r) <-> (q -> (p & r))",                    # atom-only p
+        "[r](p == q) <-> (s -> (p == q))",                  # repeated x
+        "[q]~p <-> (q -> ~[r]p)",
+        "[q](p & r) <-> ([q]p & [s]r)",
+        "[q]box i p <-> (q -> box j (q -> [q]p))",          # reduction-box: agent
+        "[q][r]p <-> [q & [s]r]p",
+        "(p & q) == (q & p)",
+        "(p == ~q) -> (~q == r)",
+        "((p == q) & (r == s)) -> (p == s)",
+        "(p == q) -> (p <-> r)",                            # cross-layer y
+        "((p == q) & (r == p)) -> (s == q)",                # repeated y
+        "(~p == ~q) <-> (p == r)",
+        "((p & q) == (r & s)) <-> ((p == r) & (q == p))",
+        "~((p & q) == ~r)",                                 # ~ on the right
+        "~(p == p)",                                        # not circular
     ])
     def test_rejected(self, text):
         assert is_axiom_instance(parse_form(text)) is None
@@ -187,6 +204,14 @@ class TestReduce:
     def test_nested_composition(self):
         assert reduce_announcements(parse_form("[p][q]s")) == \
             parse_form("((p & (p -> q)) -> s)")
+
+    @pytest.mark.parametrize("text,reduced", [
+        ("[p] ~[q] r", "(p -> ~((p & (p -> q)) -> r))"),
+        ("[p] box i [q] r", "(p -> box i (p -> ((p & (p -> q)) -> r)))"),
+        ("[p][q][r] s", "(((p & (p -> q)) & ((p & (p -> q)) -> r)) -> s)"),
+    ])
+    def test_composition_flattens_inside_negation_and_box(self, text, reduced):
+        assert text_of_form(reduce_announcements(parse_form(text))) == reduced
 
     def test_kd_under_announcement_rejected(self):
         with pytest.raises(ReductionError):
