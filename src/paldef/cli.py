@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract across subcommands: 0 for a positive
 verdict (true / valid / SAT / OK / verified), 1 for a negative one, 2 for
-any error (bad syntax, invalid model, missing file).  With --machine the
-only stdout output is one JSON object {subcommand, verdict, details}.
+any error (bad syntax, invalid model, missing file, input nested too deeply).
+With --machine the only stdout output is one JSON object {subcommand,
+verdict, details}.
 """
 
 from __future__ import annotations
@@ -230,12 +231,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, verdict, details, lines = args.run(args)
-    except (_Failure, ParseError, ValueError, OSError, json.JSONDecodeError) as e:
+    except (_Failure, ParseError, ValueError, OSError, json.JSONDecodeError,
+            RecursionError) as e:
+        message = "input is nested too deeply" if isinstance(e, RecursionError) else str(e)
         if args.machine:
             print(json.dumps({"subcommand": args.subcommand, "verdict": "error",
-                              "details": {"message": str(e)}}))
+                              "details": {"message": message}}))
         else:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         return 2
     if args.machine:
         print(json.dumps({"subcommand": args.subcommand, "verdict": verdict,

@@ -3,12 +3,13 @@
 Equivalences between boolean formulas are decided by syntactic unification:
 atoms act as variables, `~` and `&` as constructors.  A ``DefState`` holds a
 union-find partition of atoms (representative = alphabetically least) plus at
-most one binding image per class, together with a trail that can replay every
-conclusion.  The pattern axioms of the logic are exactly the decomposition and
-clash rules of unification; the occurs check realises non-circularity, and on
-failure a ``CircularWitness`` is extracted from the trail: a substitution
-chain that derives an explicitly circular equivalence from the asserted
-literals.
+most one binding image per class; each union edge and binding keeps its
+justification and the sequence number of the event that recorded it.  The
+pattern axioms of the logic are exactly the decomposition and clash rules of
+unification; the occurs check realises non-circularity, and on failure a
+``CircularWitness`` is extracted from the recorded justifications: a
+substitution chain that derives an explicitly circular equivalence from the
+asserted literals.
 
 States are values: `assert_equiv` returns a new state and never mutates the
 receiver, so distinct states may be used concurrently.
@@ -291,25 +292,6 @@ class _Binding:
     seq: int
 
 
-@dataclass(frozen=True)
-class UnionEvent:
-    seq: int
-    left: Atom
-    right: Atom
-    just: Derivation
-
-
-@dataclass(frozen=True)
-class BindEvent:
-    seq: int
-    atom: Atom
-    image: BoolForm
-    just: Derivation
-
-
-TrailEvent = UnionEvent | BindEvent
-
-
 @dataclass
 class DefState:
     """Unification state over atoms-as-variables; treat as an immutable value.
@@ -320,7 +302,7 @@ class DefState:
     _parent: dict[Atom, Atom] = field(default_factory=dict)
     _bindings: dict[Atom, _Binding] = field(default_factory=dict)
     _edges: dict[Atom, list[tuple[Atom, Derivation, int]]] = field(default_factory=dict)
-    _trail: list[TrailEvent] = field(default_factory=list)
+    _events: int = 0  # union and bind events recorded so far
 
     # -- structure ----------------------------------------------------------
 
@@ -329,39 +311,16 @@ class DefState:
             a = self._parent[a]
         return a
 
-    def binding_image(self, a: Atom) -> BoolForm | None:
-        b = self._bindings.get(self.rep(a))
-        return b.image if b else None
-
-    @property
-    def trail(self) -> tuple[TrailEvent, ...]:
-        return tuple(self._trail)
-
     def bindings(self) -> dict[Atom, BoolForm]:
         """Current binding map, keyed by class representative."""
         return {rep: b.image for rep, b in self._bindings.items()}
-
-    def replay_trail(self) -> dict[Atom, BoolForm]:
-        """Recompute the binding map from the trail alone (sanity check).
-
-        Events are applied primitively; pending pairs an event would have
-        spawned are dropped because their effects appear later in the trail.
-        """
-        fresh = DefState()
-        for event in self._trail:
-            match event:
-                case UnionEvent(_, left, right, just):
-                    fresh._union(left, right, just)
-                case BindEvent(_, atom, image, just):
-                    fresh._bind(atom, image, just)
-        return fresh.bindings()
 
     def _copy(self) -> "DefState":
         return DefState(
             dict(self._parent),
             dict(self._bindings),
             {a: list(edges) for a, edges in self._edges.items()},
-            list(self._trail),
+            self._events,
         )
 
     # -- assertion ----------------------------------------------------------
@@ -405,8 +364,8 @@ class DefState:
         ra, rb = self.rep(a), self.rep(b)
         if ra == rb:
             return []
-        seq = len(self._trail)
-        self._trail.append(UnionEvent(seq, a, b, just))
+        seq = self._events
+        self._events += 1
         self._edges.setdefault(a, []).append((b, just, seq))
         self._edges.setdefault(b, []).append((a, d_sym(just), seq))
         keep, lose = (ra, rb) if ra.name < rb.name else (rb, ra)
@@ -421,19 +380,18 @@ class DefState:
                 first, second = sorted((kept_binding, lost_binding), key=lambda x: x.seq)
                 self._bindings[keep] = first
                 pending.append(self._image_pair(first, second))
-        self._occurs_sweep()
+        self._occurs_check(keep)
         return pending
 
     def _bind(self, a: Atom, image: BoolForm, just: Derivation):
         r = self.rep(a)
         existing = self._bindings.get(r)
         if existing is not None:
-            candidate = _Binding(a, image, just, len(self._trail))
+            candidate = _Binding(a, image, just, self._events)
             return [self._image_pair(existing, candidate)]
-        seq = len(self._trail)
-        self._trail.append(BindEvent(seq, a, image, just))
-        self._bindings[r] = _Binding(a, image, just, seq)
-        self._occurs_sweep()
+        self._bindings[r] = _Binding(a, image, just, self._events)
+        self._events += 1
+        self._occurs_check(r)
         return []
 
     def _image_pair(self, first: _Binding, second: _Binding):
@@ -483,35 +441,35 @@ class DefState:
 
     # -- occurs check and witness extraction ---------------------------------
 
-    def _occurs_sweep(self) -> None:
-        deps: dict[Atom, list[Atom]] = {}
-        for r, binding in self._bindings.items():
-            targets = {self.rep(at) for at in vocabulary(binding.image)}
-            deps[r] = sorted(targets, key=lambda a: a.name)
-        state: dict[Atom, int] = {}
+    def _occurs_check(self, changed: Atom) -> None:
+        """Raise CircularityDetected if class `changed` now depends on itself.
 
-        def visit(node: Atom, stack: list[Atom]):
-            state[node] = 1
-            stack.append(node)
-            for nxt in deps.get(node, []):
-                if nxt not in deps:
-                    continue
-                mark = state.get(nxt, 0)
-                if mark == 0:
-                    cycle = visit(nxt, stack)
-                    if cycle:
-                        return cycle
-                elif mark == 1:
-                    return stack[stack.index(nxt):]
-            stack.pop()
-            state[node] = 2
-            return None
+        The state had no cycle before the event that changed this class, so
+        every new cycle passes through it.  The depth-first search visits
+        dependencies in name order, which fixes the cycle it reports.
+        """
+        if changed not in self._bindings:
+            return
+        seen = {changed}
+        path = [changed]
+        branches = [iter(self._dependencies(changed))]
+        while branches:
+            for nxt in branches[-1]:
+                if nxt == changed:
+                    raise CircularityDetected(self._extract_witness(path))
+                if nxt not in seen and nxt in self._bindings:
+                    seen.add(nxt)
+                    path.append(nxt)
+                    branches.append(iter(self._dependencies(nxt)))
+                    break
+            else:
+                path.pop()
+                branches.pop()
 
-        for start in sorted(deps, key=lambda a: a.name):
-            if state.get(start, 0) == 0:
-                cycle = visit(start, [])
-                if cycle:
-                    raise CircularityDetected(self._extract_witness(cycle))
+    def _dependencies(self, r: Atom) -> list[Atom]:
+        """Classes whose atoms occur in the binding image of class r, by name."""
+        targets = {self.rep(a) for a in vocabulary(self._bindings[r].image)}
+        return sorted(targets, key=lambda a: a.name)
 
     def _leftmost_of_class(self, image: BoolForm, cls: Atom) -> Atom | None:
         match image:
@@ -527,10 +485,11 @@ class DefState:
     def _extract_witness(self, cycle: list[Atom]) -> CircularWitness:
         """Build a replayable circular derivation from a class-level cycle.
 
-        The derivation starts at the earliest trail event lying on the cycle
-        and walks the cycle once, substituting binding images (and union
-        edges as atom renamings) until the start atom reappears inside the
-        right-hand side.
+        The derivation starts at the earliest recorded event (a binding or a
+        union edge) lying on the cycle, so it does not depend on where the
+        cycle list starts, and walks the cycle once, substituting binding
+        images (and union edges as atom renamings) until the start atom
+        reappears inside the right-hand side.
         """
         m = len(cycle)
         binds = [self._bindings[c] for c in cycle]

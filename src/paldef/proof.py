@@ -27,7 +27,7 @@ from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg,
     NegF, OccSubst, apply_occ_subst, as_iff, embed_bool, form_agents,
-    form_vocabulary, mk_imp, occurrences, parse_form, text_of_form, vocabulary,
+    form_vocabulary, is_circular, mk_imp, occurrences, parse_form, text_of_form,
 )
 
 __all__ = [
@@ -99,7 +99,7 @@ _SIDE_CONDITIONS = {
     "occurrence-substitution": lambda env: any(
         apply_occ_subst(OccSubst(k, env["p"], env["x"]), env["z"]) == env["w"]
         for k in range(1, occurrences(env["p"], env["z"]) + 1)),
-    "non-circularity": lambda env: env["x"] != env["p"] and env["p"] in vocabulary(env["x"]),
+    "non-circularity": lambda env: is_circular(env["p"], env["x"]),
 }
 
 AXIOM_NAMES = tuple(_SCHEMAS) + ("taut",)

@@ -1,8 +1,11 @@
 """End-to-end CLI behaviour, including exit codes and machine output."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paldef.cli import main
 from paldef.models import dumps, fixture_path, load
@@ -226,3 +229,160 @@ class TestMiscellaneous:
         code, out, _ = run(capsys, "--machine", "check", "fig1.json", "p &")
         assert code == 2
         assert json.loads(out)["verdict"] == "error"
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("argv,lits", [
+        (("parse", "~" * 3000 + "p"), None),
+        (("check", "fig1", "box i " * 2000 + "p"), None),
+        (("parse", "(" * 400 + "p" + ")" * 400), None),
+        (("defcheck",), "".join(f"x{k} == (x{k + 1} & r)\n" for k in range(600))),
+    ], ids=["negations", "boxes", "parentheses", "linear-chain"])
+    def test_too_deep_is_an_error(self, capsys, tmp_path, argv, lits):
+        if lits is not None:
+            path = tmp_path / "linear.lits"
+            path.write_text(lits, encoding="utf-8")
+            argv += (str(path),)
+        code, out, err = run(capsys, "--machine", *argv)
+        assert code == 2 and "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["verdict"] == "error"
+        assert payload["details"]["message"] == "input is nested too deeply"
+
+
+# -- the exit-code contract on generated input ---------------------------------
+
+_bool_text = st.recursive(
+    st.sampled_from(["p", "q", "r"]),
+    lambda inner: st.one_of(
+        inner.map(lambda b: "~" + b),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]} & {t[1]})")),
+    max_leaves=4)
+
+_form_text = st.recursive(
+    st.one_of(
+        st.sampled_from(["p", "q"]),
+        st.tuples(_bool_text, st.sampled_from(["==", "!=", ":="]), _bool_text).map(" ".join),
+        st.tuples(st.sampled_from(["kd i", "kx j"]), _bool_text).map(" ".join)),
+    lambda inner: st.one_of(
+        inner.map(lambda f: "~" + f),
+        inner.map(lambda f: f"box i {f}"),
+        st.tuples(inner, inner).map(lambda t: f"[{t[0]}] {t[1]}"),
+        st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner)
+        .map(lambda t: f"({' '.join(t)})")),
+    max_leaves=4)
+
+_garbage = st.text(alphabet="pq~&|()[]=!<->: boxikd", max_size=16)
+_formula = st.one_of(_form_text, _form_text, _garbage)  # mostly well-formed
+
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "p", "x"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(["p", "id", "formula"]), inner,
+                                            max_size=2)),
+    max_leaves=5)
+
+
+@st.composite
+def _model_json(draw):
+    """fig1 with one field replaced or removed, or any small JSON value."""
+    if draw(st.booleans()):
+        return draw(_json)
+    data = json.loads(dumps(load(fixture_path("fig1"))))
+    target = data
+    for key in draw(st.sampled_from([
+            (), ("worlds",), ("worlds", 0), ("worlds", 0, "valuation"),
+            ("worlds", 0, "def"), ("relations",), ("relations", "i")])):
+        target = target[key]
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    key = draw(st.sampled_from(keys))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(st.one_of(_json, _bool_text))
+    return data
+
+
+_rule = st.sampled_from(["axiom", "taut", "mp", "nec", "rewrite"])
+_refs = st.lists(st.integers(-1, 3), max_size=2)
+_proof_json = st.one_of(
+    _json,
+    st.lists(st.fixed_dictionaries({}, optional={
+        "formula": st.one_of(_form_text, _json), "rule": st.one_of(_rule, _json),
+        "refs": st.one_of(_refs, _json), "agent": st.one_of(st.just("i"), _json)}),
+        max_size=3),
+    st.lists(st.fixed_dictionaries({"formula": _form_text, "rule": _rule},
+                                   optional={"refs": _refs, "agent": st.just("i")}),
+             min_size=1, max_size=3))
+
+_literal_line = st.one_of(
+    st.tuples(_bool_text, st.sampled_from(["==", "!="]), _bool_text).map(" ".join),
+    _bool_text, _formula, st.just("# note"))
+_literals = st.lists(_literal_line, max_size=5).map("\n".join)
+
+
+@st.composite
+def _invocation(draw):
+    """argv for one subcommand, and the files it reads as {name: text}."""
+    files = {}
+
+    def formula_args():
+        text = draw(_formula)
+        if text.startswith("-"):
+            files["formula.txt"] = text
+            return ["--file", "formula.txt"]
+        return [text]
+
+    def model_arg():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(["fig1", "fig2.json", "fig3", "fig4"]))
+        files["model.json"] = json.dumps(draw(_model_json()))
+        return "model.json"
+
+    command = draw(st.sampled_from([
+        "parse", "validate", "check", "reduce", "sat", "valid", "prove-verify",
+        "defcheck", "fixtures"]))
+    if command in ("parse", "reduce", "sat", "valid"):
+        args = formula_args()
+    elif command == "validate":
+        args = [model_arg()]
+    elif command == "check":
+        args = [model_arg()] + formula_args()
+        world = draw(st.sampled_from([None, "left", "middle", "nowhere"]))
+        if world:
+            args += ["--world", world]
+        if draw(st.booleans()):
+            args.append("--verbose")
+    elif command == "prove-verify":
+        files["proof.json"] = json.dumps(draw(_proof_json))
+        args = ["proof.json"]
+    elif command == "defcheck":
+        files["input.lits"] = draw(_literals)
+        args = ["input.lits", "--witness-out", "witness.json"]
+    else:
+        args = []
+    machine = ["--machine"] if draw(st.booleans()) else []
+    return machine + [command] + args, files
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+class TestExitCodeContract:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(invocation=_invocation())
+    def test_generated_input_keeps_the_contract(self, workdir, invocation):
+        argv, files = invocation
+        for name, text in files.items():
+            (workdir / name).write_text(text, encoding="utf-8")
+        argv = [str(workdir / a) if a in files or a == "witness.json" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if argv[0] == "--machine":
+            payload = json.loads(out.getvalue())
+            assert set(payload) == {"subcommand", "verdict", "details"}
