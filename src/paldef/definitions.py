@@ -17,12 +17,14 @@ receiver, so distinct states may be used concurrently.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .syntax import (
     And, Atom, BoolForm, Neg, NegF, EquivF, OccSubst, apply_occ_subst,
-    is_circular, length, lex_key, parse_form, project_bool,
+    is_circular, leaves, length, lex_key, parse_form, project_bool,
     text_of_bool, vocabulary,
 )
 from .models import truth
@@ -235,23 +237,13 @@ def merge_substitution(P: BoolForm, Q: BoolForm) -> list[OccSubst]:
     """
     if merge(P, Q) is None:
         raise ValueError("merge(P, Q) is undefined")
-    counts: dict[Atom, int] = {}
+    counts: Counter[Atom] = Counter()
     subs: list[OccSubst] = []
-
-    def count_leaves(f: BoolForm) -> None:
-        match f:
-            case Atom():
-                counts[f] = counts.get(f, 0) + 1
-            case Neg(inner):
-                count_leaves(inner)
-            case And(left, right):
-                count_leaves(left)
-                count_leaves(right)
 
     def walk(a: BoolForm, b: BoolForm) -> None:
         match (a, b):
             case (Atom(), _):
-                counts[a] = counts.get(a, 0) + 1
+                counts[a] += 1
                 replace_by = None
                 if isinstance(b, Atom):
                     if b.name < a.name:
@@ -267,7 +259,7 @@ def merge_substitution(P: BoolForm, Q: BoolForm) -> list[OccSubst]:
                 walk(x2, y2)
             case (_, Atom()):
                 # compound side wins; its leaves still advance the counters
-                count_leaves(a)
+                counts.update(leaves(a))
     walk(P, Q)
     return subs
 
@@ -296,13 +288,17 @@ class _Binding:
 class DefState:
     """Unification state over atoms-as-variables; treat as an immutable value.
 
-    All mutation happens on private copies inside assert_equiv.
+    All mutation happens on private copies inside assert_equiv; resolve only
+    fills a cache.
     """
 
     _parent: dict[Atom, Atom] = field(default_factory=dict)
     _bindings: dict[Atom, _Binding] = field(default_factory=dict)
     _edges: dict[Atom, list[tuple[Atom, Derivation, int]]] = field(default_factory=dict)
     _events: int = 0  # union and bind events recorded so far
+    # resolved image per class representative, filled lazily by resolve; a
+    # state never changes after assert_equiv returns it, so entries stay valid
+    _resolved: dict[Atom, BoolForm] = field(default_factory=dict, compare=False, repr=False)
 
     # -- structure ----------------------------------------------------------
 
@@ -397,30 +393,25 @@ class DefState:
     def _image_pair(self, first: _Binding, second: _Binding):
         """Pending pair equating two images asserted for the same class."""
         d = d_sym(first.just)  # image1 == owner1
-        path = self._atom_path(first.owner, second.owner)
-        if path is not None:
-            d = d_trans(d, path)
+        path = [just for _, _, just, _ in self._path_edges(first.owner, second.owner)]
+        if path:
+            d = d_trans(d, functools.reduce(d_trans, path))  # ... == owner2
         d = d_trans(d, second.just)  # ... == image2
         return (first.image, second.image, d)
 
-    def _atom_path(self, x: Atom, y: Atom) -> Derivation | None:
-        """Derivation of x == y along recorded union edges; None when x is y."""
-        d = None
-        for _, _, just, _ in self._path_edges(x, y):
-            d = just if d is None else d_trans(d, just)
-        return d
-
     def _path_edges(self, x: Atom, y: Atom) -> list[tuple[Atom, Atom, Derivation, int]]:
-        """Union edges along the path x .. y as (from, to, just-for(from==to), seq)."""
+        """Union edges along the path x .. y as (from, to, just-for(from==to), seq).
+
+        Union edges only join different classes, so they form a forest and
+        the path is unique.
+        """
         if x == y:
             return []
         prev: dict[Atom, tuple[Atom, Derivation, int]] = {x: (x, None, -1)}
         frontier = [x]
         while frontier:
             u = frontier.pop(0)
-            for v, just, seq in sorted(
-                self._edges.get(u, []), key=lambda e: (e[0].name, e[2])
-            ):
+            for v, just, seq in self._edges.get(u, []):
                 if v in prev:
                     continue
                 prev[v] = (u, just, seq)
@@ -471,17 +462,6 @@ class DefState:
         targets = {self.rep(a) for a in vocabulary(self._bindings[r].image)}
         return sorted(targets, key=lambda a: a.name)
 
-    def _leftmost_of_class(self, image: BoolForm, cls: Atom) -> Atom | None:
-        match image:
-            case Atom():
-                return image if self.rep(image) == cls else None
-            case Neg(inner):
-                return self._leftmost_of_class(inner, cls)
-            case And(left, right):
-                found = self._leftmost_of_class(left, cls)
-                return found if found else self._leftmost_of_class(right, cls)
-        return None
-
     def _extract_witness(self, cycle: list[Atom]) -> CircularWitness:
         """Build a replayable circular derivation from a class-level cycle.
 
@@ -490,16 +470,23 @@ class DefState:
         cycle list starts, and walks the cycle once, substituting binding
         images (and union edges as atom renamings) until the start atom
         reappears inside the right-hand side.
+
+        Positions in the right-hand side S are leaf indices into `leaves(S)`.
+        Substituting an image at leaf k puts the image's leaf j at k + j; a
+        renaming keeps k.
         """
+        def first_leaf_of(atoms: list[Atom], cls: Atom) -> int | None:
+            return next((k for k, a in enumerate(atoms) if self.rep(a) == cls), None)
+
         m = len(cycle)
         binds = [self._bindings[c] for c in cycle]
-        entries = []  # entry atom of class cycle[i+1] inside image of cycle[i]
-        paths = []    # union edges from that entry atom to the next owner
+        entries = []  # leaf of image i holding the leftmost atom of class cycle[i+1]
+        paths = []    # union edges from that atom to the next owner
         for i in range(m):
-            nxt = cycle[(i + 1) % m]
-            entry = self._leftmost_of_class(binds[i].image, nxt)
-            entries.append(entry)
-            paths.append(self._path_edges(entry, binds[(i + 1) % m].owner))
+            atoms = leaves(binds[i].image)
+            k = first_leaf_of(atoms, cycle[(i + 1) % m])
+            entries.append(k)
+            paths.append(self._path_edges(atoms[k], binds[(i + 1) % m].owner))
 
         candidates = [("bind", i, binds[i].seq) for i in range(m)]
         for i in range(m):
@@ -509,86 +496,38 @@ class DefState:
 
         steps: list[WitnessStep] = []
 
-        def occ_index(S: BoolForm, path: tuple[int, ...]) -> int:
-            # occurrence number of the atom sitting at `path` within S
-            target = S
-            for d in path:
-                target = (target.inner if isinstance(target, Neg)
-                          else (target.left if d == 0 else target.right))
-            count = 0
-
-            def scan(f: BoolForm, p: tuple[int, ...]) -> bool:
-                nonlocal count
-                match f:
-                    case Atom():
-                        if f == target:
-                            count += 1
-                        return p == path
-                    case Neg(inner):
-                        return scan(inner, p + (0,))
-                    case And(left, right):
-                        return scan(left, p + (0,)) or scan(right, p + (1,))
-            scan(S, ())
-            return count
-
-        def atom_path_in(image: BoolForm, atom: Atom) -> tuple[int, ...]:
-            def go(f: BoolForm, p: tuple[int, ...]):
-                match f:
-                    case Atom():
-                        return p if f == atom else None
-                    case Neg(inner):
-                        return go(inner, p + (0,))
-                    case And(left, right):
-                        return go(left, p + (0,)) or go(right, p + (1,))
-            found = go(image, ())
-            if found is None:
-                raise ValueError(f"{atom} not in {text_of_bool(image)}")
-            return found
-
-        def substitute(S, pos, premise: Derivation):
-            k = occ_index(S, pos)
-            sub = OccSubst(k, premise.left, premise.right)
+        def substitute(S: BoolForm, pos: int, premise: Derivation) -> BoolForm:
+            atoms = leaves(S)
+            sub = OccSubst(atoms[:pos + 1].count(atoms[pos]), premise.left, premise.right)
             steps.append(WitnessStep(premise, sub))
             return apply_occ_subst(sub, S)
 
         if kind == "bind":
             j = where
-            base = binds[j].just
-            x0 = binds[j].owner
-            S = binds[j].image
-            pos = atom_path_in(S, entries[j])
+            base, x0, S, pos = binds[j].just, binds[j].owner, binds[j].image, entries[j]
             pending = paths[j]
             next_class = (j + 1) % m
         else:
             i, j = where
-            u, v, just, _ = paths[i][j]
-            base = just
-            x0 = u
-            S = v
-            pos = ()
+            x0, S, base, _ = paths[i][j]
+            pos = 0
             pending = paths[i][j + 1:]
             next_class = (i + 1) % m
 
         home = self.rep(x0)
-
-        def stop_atom(S: BoolForm):
-            if isinstance(S, Atom):
-                return None
-            found = self._leftmost_of_class(S, home)
-            return found
-
         while True:
-            hit = stop_atom(S)
-            if hit is not None:
-                pos = atom_path_in(S, hit)
-                for u, v, just, _ in self._path_edges(hit, x0):
-                    S = substitute(S, pos, just)
-                break
-            for u, v, just, _ in pending:
+            if not isinstance(S, Atom):
+                atoms = leaves(S)
+                hit = first_leaf_of(atoms, home)
+                if hit is not None:
+                    for _, _, just, _ in self._path_edges(atoms[hit], x0):
+                        S = substitute(S, hit, just)
+                    break
+            for _, _, just, _ in pending:
                 S = substitute(S, pos, just)
             k = next_class
             S = substitute(S, pos, binds[k].just)
-            pos = pos + atom_path_in(binds[k].image, entries[k])
+            pos += entries[k]
             pending = paths[k]
             next_class = (k + 1) % m
 
@@ -600,13 +539,19 @@ class DefState:
     # -- resolution ----------------------------------------------------------
 
     def resolve(self, P: BoolForm) -> BoolForm:
-        """Fully unravel bindings, then name free atoms by their class rep."""
+        """Fully unravel bindings, then name free atoms by their class rep.
+
+        Each class is resolved once per state; the results share subtrees.
+        """
         def go(f: BoolForm) -> BoolForm:
             match f:
                 case Atom():
                     r = self.rep(f)
-                    binding = self._bindings.get(r)
-                    return go(binding.image) if binding else r
+                    image = self._resolved.get(r)
+                    if image is None:
+                        binding = self._bindings.get(r)
+                        image = self._resolved[r] = go(binding.image) if binding else r
+                    return image
                 case Neg(inner):
                     return Neg(go(inner))
                 case And(left, right):
@@ -667,13 +612,9 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
     vocab_sorted = sorted(vocab)
 
     resolved = {a: state.resolve(a) for a in vocab_sorted}
-    free: set[Atom] = set()
-    for image in resolved.values():
-        free |= vocabulary(image)
+    # every free representative is in the vocabulary and resolves to itself
+    free_sorted = sorted({image for image in resolved.values() if isinstance(image, Atom)})
     resolved_constraints = [state.resolve(c) for c in constraints]
-    for rc in resolved_constraints:
-        free |= vocabulary(rc)
-    free_sorted = sorted(free)
 
     for bits in itertools.product((False, True), repeat=len(free_sorted)):
         assignment = dict(zip(free_sorted, bits))

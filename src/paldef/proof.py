@@ -345,11 +345,15 @@ class _Branch:
 
 def _forbid_dynamic(formula: Form) -> None:
     match formula:
-        case AnnF() | KdF() | DefIsF():
+        case AnnF():
             raise ValueError(
                 f"satisfiable() handles the announcement-free fragment; "
                 f"reduce or avoid {text_of_form(formula)}"
             )
+        case KdF() | DefIsF():
+            op = "kd" if isinstance(formula, KdF) else ":="
+            raise ValueError(
+                f"satisfiable() does not decide {op}; avoid {text_of_form(formula)}")
         case NegF(inner) | BoxF(_, inner):
             _forbid_dynamic(inner)
         case AndF(left, right):

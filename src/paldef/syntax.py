@@ -24,7 +24,7 @@ __all__ = [
     "OccSubst", "ParseError",
     "parse_bool", "parse_form", "text_of_bool", "text_of_form",
     "length", "vocabulary", "form_vocabulary", "form_agents",
-    "lex_key", "lex_compare", "occurrences",
+    "lex_key", "lex_compare", "leaves", "occurrences",
     "apply_occ_subst", "apply_simultaneous", "is_circular",
     "embed_bool", "project_bool",
     "mk_or", "mk_imp", "mk_iff", "as_or", "as_imp", "as_iff",
@@ -324,16 +324,27 @@ def lex_compare(P: BoolForm, Q: BoolForm) -> int:
     return -1 if kp < kq else (0 if kp == kq else 1)
 
 
+def leaves(P: BoolForm) -> list[Atom]:
+    """The atom occurrences of P, left to right (printed order)."""
+    found: list[Atom] = []
+    todo = [P]
+    while todo:
+        f = todo.pop()
+        match f:
+            case Atom():
+                found.append(f)
+            case Neg(inner):
+                todo.append(inner)
+            case And(left, right):
+                todo += (right, left)
+            case _:
+                raise TypeError(f"not a boolean formula: {f!r}")
+    return found
+
+
 def occurrences(p: Atom, Q: BoolForm) -> int:
     """Number of leaves of Q labelled p (left-to-right printed order)."""
-    match Q:
-        case Atom():
-            return 1 if Q == p else 0
-        case Neg(inner):
-            return occurrences(p, inner)
-        case And(left, right):
-            return occurrences(p, left) + occurrences(p, right)
-    raise TypeError(f"not a boolean formula: {Q!r}")
+    return leaves(Q).count(p)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,18 @@ class TestReduceSatValid:
         code, out, _ = run(capsys, "sat", "p == (p & p)")
         assert code == 1 and out.strip() == "UNSAT"
 
+    @pytest.mark.parametrize("argv,op", [
+        (("sat", "kd i p"), "kd"),
+        (("valid", "p := q"), ":="),
+    ])
+    def test_unsupported_operator_is_named(self, capsys, argv, op):
+        code, out, _ = run(capsys, "--machine", *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["verdict"] == "error"
+        message = payload["details"]["message"]
+        assert f"does not decide {op};" in message and "announcement" not in message
+
 
 class TestDefcheck:
     def test_grow_non_circular_pipeline(self, capsys, tmp_path):

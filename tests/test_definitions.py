@@ -1,14 +1,16 @@
 """Unification core: merge, assert/resolve, pick, literal sets, witnesses."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from paldef.definitions import (
-    CircularityDetected, DefState, EquivLiteral, PatternClash,
+    CircularityDetected, DefState, DInput, EquivLiteral, PatternClash,
     literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
+from paldef.proof import proof_to_json, witness_to_proof
 from paldef.syntax import (
     And, Atom, Neg, apply_simultaneous, is_circular, length, parse_bool,
     vocabulary,
@@ -409,11 +411,75 @@ class TestWitness:
         assert err.value.witness.conclusion == \
             EquivLiteral(True, d, And(And(d, c), c))
 
+    def test_substitution_at_a_second_occurrence(self):
+        # after the first step the walk continues at the second d of
+        # ~(d & ~d), so the step must name occurrence 2, not 1
+        equivs, _ = parse_literal_lines("c == ~(d & a)\na == ~d\na == ~(c & b)")
+        witness = literal_sat(equivs).witness
+        assert str(witness.conclusion) == "c == ~(d & ~(c & b))"
+        assert [str(step.subst) for step in witness.steps] == \
+            ["[1: a -> ~d]", "[2: d -> (c & b)]"]
+
     def test_witness_description_mentions_conclusion(self):
         res = literal_sat([EquivLiteral(True, p, And(q, r)),
                            EquivLiteral(True, q, And(p, r))])
         text = res.witness.describe()
         assert "p == ((p & r) & r)" in text and "circular" in text
+
+
+def _digest_bool(rng, size):
+    if size <= 1 or rng.random() < 0.25:
+        return rng.choice("abcde")
+    if rng.random() < 0.35:
+        return "~" + _digest_bool(rng, size - 1)
+    k = rng.randint(1, size - 1)
+    return f"({_digest_bool(rng, k)} & {_digest_bool(rng, size - k)})"
+
+
+def _digest_corpus():
+    """1,500 seeded literal sets (about 30% of lines atom-to-atom unions), the
+    second-occurrence example under every renaming and line order, the
+    circular chains n = 2..24 and a 2-cycle with 25 unrelated definitions."""
+    rng = random.Random(2024)
+    for _ in range(1500):
+        yield [f"{rng.choice('abcde')} == "
+               + (rng.choice("abcde") if rng.random() < 0.3
+                  else _digest_bool(rng, rng.randint(2, 6)))
+               for _ in range(rng.randint(2, 6))]
+    # random sets almost never substitute at a later occurrence; these do
+    template = ["c == ~(d & a)", "a == ~d", "a == ~(c & b)"]
+    for names in itertools.permutations("abcd"):
+        renaming = str.maketrans("abcd", "".join(names))
+        for lines in itertools.permutations(template):
+            yield [line.translate(renaming) for line in lines]
+    for n in range(2, 25):
+        yield [f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)]
+    yield ["x0 == (x1 & r)", "x1 == (x0 & r)"] + [f"y{k} == ~z{k}" for k in range(25)]
+
+
+class TestWitnessDigest:
+    # sha256 over every verdict reason and detail, and for each circular set
+    # the witness repr and the proof that defcheck writes for it
+    DIGEST = "0b28bf3a273c3516474596dfa28a43461659bb2fbe60a906cdb9908979ccfa02"
+
+    def test_witness_corpus_is_unchanged(self):
+        h = hashlib.sha256()
+        circular = later = 0
+        for lines in _digest_corpus():
+            equivs, _ = parse_literal_lines("\n".join(lines))
+            res = literal_sat(equivs)
+            h.update(f"{res.reason}|{res.detail}\n".encode())
+            if res.witness is not None:
+                circular += 1
+                later += any(step.subst.index > 1 for step in res.witness.steps)
+                used = res.witness.inputs()
+                premises = [l for l in equivs if DInput(l.left, l.right) in used]
+                h.update(repr(res.witness).encode())
+                h.update(proof_to_json(witness_to_proof(res.witness, premises)).encode())
+        assert (circular, later) == (1234, 12)
+        assert h.hexdigest() == self.DIGEST, (
+            "the witnesses or their proofs changed; a deliberate change to the "
+            "witness shape updates DIGEST and says so in CHANGES.md")
 
 
 class TestLiteralParsing:

@@ -1,13 +1,14 @@
 """Parser, printer, and syntactic-measure tests."""
 
 import random
+import re
 
 import pytest
 
 from paldef.syntax import (
     And, AndF, AnnF, Atom, AtomF, BoxF, EquivF, KdF, Neg, NegF,
     OccSubst, ParseError, apply_occ_subst, apply_simultaneous, embed_bool,
-    is_circular, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
+    is_circular, leaves, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
     occurrences, parse_bool, parse_form, project_bool, text_of_bool,
     text_of_form, vocabulary,
 )
@@ -122,6 +123,26 @@ class TestMeasures:
         assert occurrences(p, And(p, p)) == 2
         assert occurrences(q, And(p, p)) == 0
         assert occurrences(p, And(p, And(q, p))) == 2
+
+    def test_leaves_in_printed_order(self):
+        assert leaves(parse_bool("(p & (q & p))")) == [p, q, p]
+        assert leaves(Neg(r)) == [r]
+
+    def test_leaves_agree_with_the_printed_text_and_occurrences(self):
+        rng = random.Random(5)
+        inputs = [And(p, p), And(p, And(q, p))] + [
+            random_bool(rng, ATOMS, 11) for _ in range(200)]
+        for f in inputs:
+            names = re.findall(r"[a-z][a-z0-9_]*", text_of_bool(f))
+            assert [a.name for a in leaves(f)] == names
+            for atom in (p, q, r):
+                assert occurrences(atom, f) == names.count(atom.name)
+
+    def test_leaves_has_no_recursion_limit(self):
+        f = p
+        for _ in range(100_000):
+            f = Neg(f)
+        assert leaves(f) == [p]
 
 
 class TestLexOrder:
