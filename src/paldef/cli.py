@@ -10,6 +10,7 @@ verdict, details}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -141,12 +142,13 @@ def cmd_defcheck(args):
     equivs, constraints = parse_literal_lines(text)
     result = literal_sat(equivs, constraints)
     if result.satisfiable:
+        images = [(a, str(image)) for a, image in sorted(result.definitions.items())]
         seed = {
-            "def": {a.name: str(image) for a, image in sorted(result.definitions.items())},
+            "def": {a.name: text for a, text in images},
             "valuation": {a.name: v for a, v in sorted(result.valuation.items())},
         }
-        lines = ["SAT"] + [f"  {a} := {image}   [{'1' if result.valuation[a] else '0'}]"
-                           for a, image in sorted(result.definitions.items())]
+        lines = ["SAT"] + [f"  {a} := {text}   [{'1' if result.valuation[a] else '0'}]"
+                           for a, text in images]
         return 0, "sat", {"seed": seed}, lines
     details: dict = {"reason": result.reason, "detail": result.detail}
     lines = [f"UNSAT ({result.reason})", f"  {result.detail}"]
@@ -170,6 +172,7 @@ def cmd_fixtures(args):
 
 # -- driver -------------------------------------------------------------------
 
+@functools.cache  # built on the first call, then shared by every call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,

@@ -619,7 +619,12 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
     for bits in itertools.product((False, True), repeat=len(free_sorted)):
         assignment = dict(zip(free_sorted, bits))
         if all(truth(rc, assignment) for rc in resolved_constraints):
-            valuation = {a: truth(resolved[a], assignment) for a in vocab_sorted}
+            values = {}  # by class rep; _resolved lists a class after those its image uses
+            for rep in state._resolved:
+                binding = state._bindings.get(rep)
+                values[rep] = assignment[rep] if binding is None else truth(
+                    binding.image, {a: values[state.rep(a)] for a in vocabulary(binding.image)})
+            valuation = {a: values[state.rep(a)] for a in vocab_sorted}
             return SatCheck(True, definitions=resolved, valuation=valuation)
     return SatCheck(False, "boolean", "no assignment to the class representatives satisfies "
                     "the boolean constraints")

@@ -11,6 +11,7 @@ boolean-layer only: `P == Q`, `p := P`, and `kd i P` (`kx i P` is sugar for
 `box i P & kd i P`).
 
 Formula values are immutable and hashable; every function here is pure.
+Parsing and printing use explicit stacks, so they have no depth limit.
 """
 
 from __future__ import annotations
@@ -219,28 +220,48 @@ def as_iff(f: Form) -> tuple[Form, Form] | None:
 
 def embed_bool(P: BoolForm) -> Form:
     """The canonical modal-layer formula expressing a boolean-layer formula."""
-    match P:
-        case Atom():
-            return AtomF(P)
-        case Neg(inner):
-            return NegF(embed_bool(inner))
-        case And(left, right):
-            return AndF(embed_bool(left), embed_bool(right))
-    raise TypeError(f"not a boolean formula: {P!r}")
+    done: list[Form] = []
+    todo: list = [P]
+    while todo:
+        g = todo.pop()
+        match g:
+            case Atom():
+                done.append(AtomF(g))
+            case Neg(inner):
+                todo += ("~", inner)
+            case And(left, right):
+                todo += ("&", right, left)
+            case "~":
+                done.append(NegF(done.pop()))
+            case "&":
+                right = done.pop()
+                done.append(AndF(done.pop(), right))
+            case _:
+                raise TypeError(f"not a boolean formula: {g!r}")
+    return done[0]
 
 
 def project_bool(f: Form) -> BoolForm | None:
     """Inverse of embed_bool; None when f uses any non-boolean operator."""
-    match f:
-        case AtomF(a):
-            return a
-        case NegF(inner):
-            p = project_bool(inner)
-            return None if p is None else Neg(p)
-        case AndF(left, right):
-            l, r = project_bool(left), project_bool(right)
-            return None if l is None or r is None else And(l, r)
-    return None
+    done: list[BoolForm] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        match g:
+            case AtomF(a):
+                done.append(a)
+            case NegF(inner):
+                todo += ("~", inner)
+            case AndF(left, right):
+                todo += ("&", right, left)
+            case "~":
+                done.append(Neg(done.pop()))
+            case "&":
+                right = done.pop()
+                done.append(And(done.pop(), right))
+            case _:
+                return None
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,47 +439,68 @@ def is_circular(P: BoolForm, Q: BoolForm) -> bool:
 # ---------------------------------------------------------------------------
 # Printing
 
-def text_of_bool(P: BoolForm) -> str:
-    match P:
-        case Atom(name):
-            return name
-        case Neg(inner):
-            return "~" + text_of_bool(inner)
-        case And(left, right):
-            return f"({text_of_bool(left)} & {text_of_bool(right)})"
-    raise TypeError(f"not a boolean formula: {P!r}")
+def text_of_form(f: Form | BoolForm) -> str:
+    """The concrete syntax of a formula of either layer, sugar restored.
+
+    Fragments are pushed onto a stack in reverse reading order and joined
+    once, so no level copies its children's text and depth is unbounded.
+    """
+    out: list[str] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        kind = type(g)
+        if kind is str:
+            out.append(g)
+            continue
+        if kind is Atom:
+            out.append(g.name)
+            continue
+        if kind is AtomF:
+            out.append(g.atom.name)
+            continue
+        # a prefix and its operand, or an infix operator and its two operands
+        sides = None
+        if kind is Neg:
+            prefix, inner = "~", g.inner
+        elif kind is And:
+            sides = g.left, " & ", g.right
+        elif kind is AndF:
+            pair = as_iff(g)
+            sides = (pair[0], " <-> ", pair[1]) if pair else (g.left, " & ", g.right)
+        elif kind is NegF:
+            if type(g.inner) is EquivF:
+                sides = g.inner.left, " != ", g.inner.right
+            elif pair := as_imp(g):
+                sides = pair[0], " -> ", pair[1]
+            elif pair := as_or(g):
+                sides = pair[0], " | ", pair[1]
+            else:
+                prefix, inner = "~", g.inner
+        elif kind is EquivF:
+            sides = g.left, " == ", g.right
+        elif kind is DefIsF:
+            sides = g.atom, " := ", g.body
+        elif kind is BoxF:
+            prefix, inner = f"box {g.agent} ", g.inner
+        elif kind is KdF:
+            prefix, inner = f"kd {g.agent} ", g.body
+        elif kind is AnnF:
+            out.append("[")
+            todo += (g.inner, "] ", g.announced)
+            continue
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if sides:
+            out.append("(")
+            todo += (")", sides[2], sides[1], sides[0])
+        else:
+            out.append(prefix)
+            todo.append(inner)
+    return "".join(out)
 
 
-def text_of_form(f: Form) -> str:
-    match f:
-        case AtomF(a):
-            return a.name
-        case EquivF(left, right):
-            return f"({text_of_bool(left)} == {text_of_bool(right)})"
-        case DefIsF(atom, body):
-            return f"({atom.name} := {text_of_bool(body)})"
-        case KdF(agent, body):
-            return f"kd {agent} {text_of_bool(body)}"
-        case BoxF(agent, inner):
-            return f"box {agent} {text_of_form(inner)}"
-        case AnnF(announced, inner):
-            return f"[{text_of_form(announced)}] {text_of_form(inner)}"
-        case NegF(EquivF(left, right)):
-            return f"({text_of_bool(left)} != {text_of_bool(right)})"
-        case NegF(inner):
-            imp = as_imp(f)
-            if imp:
-                return f"({text_of_form(imp[0])} -> {text_of_form(imp[1])})"
-            disj = as_or(f)
-            if disj:
-                return f"({text_of_form(disj[0])} | {text_of_form(disj[1])})"
-            return "~" + text_of_form(inner)
-        case AndF(left, right):
-            iff = as_iff(f)
-            if iff:
-                return f"({text_of_form(iff[0])} <-> {text_of_form(iff[1])})"
-            return f"({text_of_form(left)} & {text_of_form(right)})"
-    raise TypeError(f"not a formula: {f!r}")
+text_of_bool = text_of_form  # the boolean layer prints as its own embedding
 
 
 # ---------------------------------------------------------------------------
@@ -473,198 +515,136 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos}: {text[pos:pos + 12]!r})")
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<name>[a-z][a-z0-9_]*)
-  | (?P<op><->|->|==|!=|:=|[~&|()\[\]])
-    """,
-    re.VERBOSE,
-)
+# one match per token: a name, an operator, or any other character (an error)
+_TOKEN_RE = re.compile(r"\s*(?:([a-z][a-z0-9_]*)|(<->|->|==|!=|:=|[~&|()\[\]])|(\S))")
+
+# binding strength of the binary operators, loosest first; `->` groups to
+# the right, the others to the left.  The prefix operators `~`, `box i`,
+# `kd i`, `kx i` and `[A]` bind tighter than all of them.
+_BINARY = {"<->": 1, "->": 2, "|": 3, "&": 4, "==": 5, "!=": 5, ":=": 5}
+_PREFIX = 6
+_CONNECTIVES = {"&": AndF, "|": mk_or, "->": mk_imp, "<->": mk_iff}
+_CLOSER = {"(": ")", "[": "]"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
+def _parse(text: str) -> tuple[Form, BoolForm | None, int | None]:
+    """Read text once, left to right, with an operand and an operator stack.
+
+    Each operand is (form, bool, loose): its modal-layer tree; its boolean
+    tree when the text is a strict boolean formula or a bare conjunction of
+    two; and None when the text is a strict boolean formula (an atom, `~P`,
+    or exactly one `P & Q` in parentheses), else the position of the first
+    token that keeps it from being one.  `==`, `!=`, `:=`, `kd` and `kx`
+    take strict operands only.
+    """
+    operands: list[tuple[Form, BoolForm | None, int | None]] = []
+    # (binding strength, operator, position, agent or announced formula);
+    # an open '(' or '[' waits here with strength 0, above a sentinel
+    ops: list[tuple[int, str, int, object]] = [(-1, "", 0, None)]
+    atoms: dict[str, tuple[AtomF, Atom, None]] = {}
+
+    def reduce(strength: int) -> None:
+        while ops[-1][0] >= strength:
+            _, op, pos, arg = ops.pop()
+            f, b, loose = operands.pop()
+            if op == "~":
+                operands.append((NegF(f), Neg(b) if loose is None else None, loose))
+            elif op == "box":
+                operands.append((BoxF(arg, f), None, pos))
+            elif op == "ann":
+                operands.append((AnnF(arg, f), None, pos))
+            elif op == "kd" or op == "kx":
+                if loose is not None:
+                    raise ParseError(f"'{op}' takes a boolean-layer formula", text, loose)
+                kd = KdF(arg, b)
+                operands.append((kd if op == "kd" else AndF(BoxF(arg, f), kd), None, pos))
+            else:
+                lf, lb, lloose = operands.pop()
+                strict = lloose is None and loose is None
+                if op in _CONNECTIVES:
+                    # a conjunction of strict operands is strict once parenthesized
+                    operands.append((_CONNECTIVES[op](lf, f),
+                                     And(lb, b) if op == "&" and strict else None,
+                                     lloose if lb is None else loose if b is None else pos))
+                elif not strict:
+                    raise ParseError(f"operands of '{op}' must be boolean-layer formulas",
+                                     text, pos)
+                elif op == ":=":
+                    if not isinstance(lb, Atom):
+                        raise ParseError("left operand of ':=' must be an atom", text, pos)
+                    operands.append((DefIsF(lb, b), None, pos))
+                else:
+                    eq = EquivF(lb, b)
+                    operands.append((eq if op == "==" else NegF(eq), None, pos))
+
+    want_operand = True
+    keyword = None  # (word, position) of a `box`, `kd` or `kx` awaiting its agent
+    for m in _TOKEN_RE.finditer(text):
+        name, sym, other = m.groups()
+        pos = m.start(m.lastindex)
+        if other is not None:
             raise ParseError("unexpected character", text, pos)
-        if m.lastgroup == "name":
-            word = m.group()
-            kind = "kw" if word in _KEYWORDS else "name"
-            tokens.append((kind, word, pos))
-        elif m.lastgroup == "op":
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.text, self.tokens[self.i][2])
-
-    def expect(self, kind: str, message: str) -> None:
-        if self.peek() != kind:
-            raise self.error(message)
-        self.advance()
-
-    def at_end(self) -> bool:
-        return self.peek() == "end"
-
-    def finish(self) -> None:
-        if self.at_end():
-            return
-        if self.peek() == "&":
-            raise self.error(
-                "boolean conjunction must be parenthesized: write (P & Q)"
-            )
-        raise self.error("unexpected trailing input")
-
-    # -- boolean layer (strict: P ::= atom | ~P | (P & P)) ------------------
-
-    def bool_strict(self) -> BoolForm:
-        kind, word, _ = self.tokens[self.i]
-        if kind == "name":
-            self.advance()
-            return Atom(word)
-        if kind == "~":
-            self.advance()
-            return Neg(self.bool_strict())
-        if kind == "(":
-            self.advance()
-            left = self.bool_strict()
-            self.expect("&", "expected '&' (boolean parentheses wrap exactly one conjunction)")
-            right = self.bool_strict()
-            self.expect(")", "expected ')' closing the conjunction")
-            return And(left, right)
-        raise self.error("expected a boolean formula (atom, '~', or '(')")
-
-    # -- modal layer ---------------------------------------------------------
-    # precedence, loosest first: <->, ->, |, &, ==/!=/:=, unary
-
-    def form(self) -> Form:
-        return self._iff()
-
-    def _iff(self) -> Form:
-        f = self._imp()
-        while self.peek() == "<->":
-            self.advance()
-            f = mk_iff(f, self._imp())
-        return f
-
-    def _imp(self) -> Form:
-        f = self._or()
-        if self.peek() == "->":
-            self.advance()
-            return mk_imp(f, self._imp())
-        return f
-
-    def _or(self) -> Form:
-        f = self._and()
-        while self.peek() == "|":
-            self.advance()
-            f = mk_or(f, self._and())
-        return f
-
-    def _and(self) -> Form:
-        f = self._cmp()
-        while self.peek() == "&":
-            self.advance()
-            f = AndF(f, self._cmp())
-        return f
-
-    def _cmp(self) -> Form:
-        # Speculatively read a strict boolean formula; commit only if an
-        # operator with boolean operands follows.
-        mark = self.i
-        try:
-            left = self.bool_strict()
-        except ParseError:
-            left = None
-            self.i = mark
-        if left is not None and self.peek() in ("==", "!=", ":="):
-            op, _, pos = self.advance()
-            if op == ":=" and not isinstance(left, Atom):
-                raise ParseError("left operand of ':=' must be an atom", self.text, pos)
-            right = self.bool_strict()
-            if op == "==":
-                return EquivF(left, right)
-            if op == "!=":
-                return NegF(EquivF(left, right))
-            return DefIsF(left, right)
-        self.i = mark
-        f = self._unary()
-        if self.peek() in ("==", "!=", ":="):
-            raise self.error("operands of '==' / '!=' / ':=' must be boolean-layer formulas")
-        return f
-
-    def _unary(self) -> Form:
-        kind, word, _ = self.tokens[self.i]
-        if kind == "~":
-            self.advance()
-            return NegF(self._unary())
-        if kind == "kw":
-            self.advance()
-            agent = self._agent()
-            if word == "box":
-                return BoxF(agent, self._unary())
-            body = self.bool_strict()
-            if word == "kd":
-                return KdF(agent, body)
-            return AndF(BoxF(agent, embed_bool(body)), KdF(agent, body))
-        if kind == "[":
-            self.advance()
-            announced = self.form()
-            self.expect("]", "expected ']' closing the announcement")
-            return AnnF(announced, self._unary())
-        return self._primary()
-
-    def _primary(self) -> Form:
-        kind, word, _ = self.tokens[self.i]
-        if kind == "(":
-            self.advance()
-            f = self.form()
-            self.expect(")", "expected ')'")
-            return f
-        if kind == "name":
-            self.advance()
-            return AtomF(Atom(word))
-        raise self.error("expected a formula")
-
-    def _agent(self) -> str:
-        kind, word, _ = self.tokens[self.i]
-        if kind != "name":
-            raise self.error("expected an agent name")
-        self.advance()
-        return word
+        if keyword is not None:
+            if name is None or name in _KEYWORDS:
+                raise ParseError("expected an agent name", text, pos)
+            ops.append((_PREFIX, keyword[0], keyword[1], name))
+            keyword = None
+        elif want_operand:
+            if name in _KEYWORDS:
+                keyword = name, pos
+            elif name is not None:
+                operand = atoms.get(name)
+                if operand is None:
+                    atom = Atom(name)
+                    operand = atoms[name] = (AtomF(atom), atom, None)
+                operands.append(operand)
+                want_operand = False
+            elif sym == "~":
+                ops.append((_PREFIX, "~", pos, None))
+            elif sym == "(" or sym == "[":
+                ops.append((0, sym, pos, None))
+            else:
+                raise ParseError("expected a formula", text, pos)
+        elif sym in _BINARY:
+            strength = _BINARY[sym]
+            reduce(strength + 1 if sym == "->" else strength)
+            ops.append((strength, sym, pos, None))
+            want_operand = True
+        elif sym == ")" or sym == "]":
+            reduce(1)
+            if _CLOSER.get(ops[-1][1]) != sym:
+                raise ParseError(f"unmatched '{sym}'", text, pos)
+            ops.pop()
+            if sym == "]":
+                ops.append((_PREFIX, "ann", pos, operands.pop()[0]))
+                want_operand = True
+            elif operands[-1][1] is not None:
+                f, b, loose = operands[-1]
+                # one conjunction in parentheses is strict; a strict formula is not
+                operands[-1] = (f, b, None) if loose is not None else (f, None, pos)
+        else:
+            raise ParseError("expected an operator or the end of the input", text, pos)
+    end = len(text)
+    if keyword is not None:
+        raise ParseError("expected an agent name", text, end)
+    if want_operand:
+        raise ParseError("expected a formula", text, end)
+    reduce(1)
+    if len(ops) > 1:
+        raise ParseError(f"expected '{_CLOSER[ops[-1][1]]}'", text, end)
+    return operands[0]
 
 
 def parse_bool(text: str) -> BoolForm:
     """Parse strict boolean-layer syntax. Unparenthesized '&' is an error."""
-    parser = _Parser(text)
-    f = parser.bool_strict()
-    parser.finish()
-    return f
+    _, P, loose = _parse(text)
+    if loose is None:
+        return P
+    if P is not None:
+        raise ParseError("boolean conjunction must be parenthesized: write (P & Q)", text, loose)
+    raise ParseError("expected a boolean formula: an atom, ~P or (P & Q)", text, loose)
 
 
 def parse_form(text: str) -> Form:
     """Parse the full language (sugar expanded, boolean operands strict)."""
-    parser = _Parser(text)
-    f = parser.form()
-    parser.finish()
-    return f
+    return _parse(text)[0]

@@ -244,12 +244,23 @@ class TestMiscellaneous:
 
 
 class TestDeepInput:
+    # parsing and printing have no depth limit; evaluate and resolve are
+    # still recursive, so the other subcommands report deep input as an error
+    @pytest.mark.parametrize("text,canonical", [
+        ("~" * 3000 + "p", "~" * 3000 + "p"),
+        ("(" * 400 + "p" + ")" * 400, "p"),
+        ("~" * 30000 + "p", "~" * 30000 + "p"),
+        ("(" * 4000 + "p" + ")" * 4000, "p"),
+    ], ids=["negations", "parentheses", "negations-10x", "parentheses-10x"])
+    def test_parse_has_no_depth_limit(self, capsys, text, canonical):
+        code, out, err = run(capsys, "--machine", "parse", text)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["details"]["canonical"] == canonical
+
     @pytest.mark.parametrize("argv,lits", [
-        (("parse", "~" * 3000 + "p"), None),
         (("check", "fig1", "box i " * 2000 + "p"), None),
-        (("parse", "(" * 400 + "p" + ")" * 400), None),
         (("defcheck",), "".join(f"x{k} == (x{k + 1} & r)\n" for k in range(600))),
-    ], ids=["negations", "boxes", "parentheses", "linear-chain"])
+    ], ids=["boxes", "linear-chain"])
     def test_too_deep_is_an_error(self, capsys, tmp_path, argv, lits):
         if lits is not None:
             path = tmp_path / "linear.lits"

@@ -1,5 +1,6 @@
 """Parser, printer, and syntactic-measure tests."""
 
+import hashlib
 import random
 import re
 
@@ -93,6 +94,22 @@ class TestParseForm:
             parse_form("p == (q | r)")
         with pytest.raises(ParseError):
             parse_form("box i p == q")
+
+    @pytest.mark.parametrize("bad", [
+        "((p & q)) == r", "(p) == q", "kd i (p | q)", "~(p | q) == r",
+        "p == q == r", "p := q := r", "kd i box j p", "kx i box j p",
+    ])
+    def test_rejects(self, bad):
+        with pytest.raises(ParseError):
+            parse_form(bad)
+
+    @pytest.mark.parametrize("text,tree", [
+        ("(p & q) & r == s", AndF(AndF(AtomF(p), AtomF(q)), EquivF(r, s))),
+        ("~p == q", EquivF(Neg(p), q)),
+        ("~box i p", NegF(BoxF("i", AtomF(p)))),
+    ])
+    def test_precedence(self, text, tree):
+        assert parse_form(text) == tree
 
     def test_defis_left_must_be_atom(self):
         with pytest.raises(ParseError) as err:
@@ -304,6 +321,19 @@ class TestRoundTrip:
             # distinct trees must print to distinct text
             assert seen.setdefault(text, f) == f
 
+    @pytest.mark.parametrize("text,canonical", [
+        ("~" * 30_000 + "p", "~" * 30_000 + "p"),
+        ("(" * 4_000 + "p" + ")" * 4_000, "p"),
+        ("box i " * 20_000 + "p", "box i " * 20_000 + "p"),
+        ("p == " + "~" * 30_000 + "p", "(p == " + "~" * 30_000 + "p)"),
+    ], ids=["negations", "parentheses", "boxes", "equivalence"])
+    def test_text_layer_has_no_recursion_limit(self, text, canonical):
+        f = parse_form(text)
+        assert text_of_form(f) == canonical
+        P = project_bool(f)
+        if P is not None:
+            assert text_of_form(embed_bool(P)) == text_of_bool(P) == canonical
+
     def test_atom_names_validated(self):
         with pytest.raises(ValueError):
             Atom("P")
@@ -311,3 +341,52 @@ class TestRoundTrip:
             Atom("box")
         with pytest.raises(ValueError):
             Atom("")
+
+
+_TOKENS = ("p", "q", "r", "i", "box", "kd", "kx", "~", "&", "|", "->", "<->",
+           "==", "!=", ":=", "(", ")", "[", "]")
+
+
+def _parse_corpus():
+    """Printed random formulas, the same with one token deleted or inserted,
+    and random token strings: 21,000 texts near the edge of the language."""
+    rng = random.Random(12)
+    for _ in range(7_000):
+        yield text_of_form(random_form(rng, ATOMS[:3], AGENTS, depth=rng.randint(0, 5),
+                                       allow_ann=True, allow_kd=True))
+    for _ in range(7_000):
+        text = text_of_form(random_form(rng, ATOMS[:3], AGENTS, depth=rng.randint(0, 4),
+                                        allow_ann=True, allow_kd=True))
+        tokens = re.findall(r"[a-z][a-z0-9_]*|<->|->|==|!=|:=|\S", text)
+        k = rng.randrange(len(tokens))
+        if rng.random() < 0.5:
+            del tokens[k]
+        else:
+            tokens.insert(k, rng.choice(_TOKENS))
+        yield " ".join(tokens)
+    for _ in range(7_000):
+        yield " ".join(rng.choices(_TOKENS, k=rng.randint(1, 9)))
+
+
+class TestParseDigest:
+    # sha256 over each text and, for parse_form and parse_bool, the repr of
+    # its tree or the fact of a ParseError; recorded with the recursive-descent
+    # parser that the operator-precedence loop replaced
+    DIGEST = "69a3066a8dc8063d6d78d632d730995140ed3652e8da65781b46c012629ede01"
+
+    def test_language_is_unchanged(self):
+        h = hashlib.sha256()
+        accepted = [0, 0]
+        for text in _parse_corpus():
+            h.update(text.encode() + b"\n")
+            for k, parse in enumerate((parse_form, parse_bool)):
+                try:
+                    tree = repr(parse(text))
+                    accepted[k] += 1
+                except ParseError:
+                    tree = "ParseError"
+                h.update(tree.encode() + b"\n")
+        assert accepted == [7844, 2216]
+        assert h.hexdigest() == self.DIGEST, (
+            "the parser accepts another language or builds other trees; a "
+            "deliberate change to the language updates DIGEST and says so in CHANGES.md")
