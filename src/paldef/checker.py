@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .models import Model, restrict, unravel
 from .syntax import (
-    AndF, AnnF, AtomF, BoxF, DefIsF, EquivF, Form, KdF, NegF,
-    form_agents, form_vocabulary, text_of_form,
+    AndF, AnnF, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, NegF,
+    form_agents, form_vocabulary, postorder,
 )
 
 __all__ = ["evaluate", "eval_global", "extension_table", "check_query"]
@@ -77,19 +77,8 @@ def eval_global(model: Model, formula: Form, _checked: bool = False) -> list[str
 
 
 def _subformulas(formula: Form) -> list[Form]:
-    seen: dict[str, Form] = {}
-
-    def walk(f: Form) -> None:
-        match f:
-            case NegF(inner) | BoxF(_, inner):
-                walk(inner)
-            case AndF(left, right) | AnnF(left, right):
-                walk(left)
-                walk(right)
-        seen.setdefault(text_of_form(f), f)
-
-    walk(formula)
-    return list(seen.values())
+    """The modal-layer subformulas, innermost first, each once."""
+    return list(dict.fromkeys(g for g in postorder(formula) if not isinstance(g, BoolForm)))
 
 
 def extension_table(model: Model, formula: Form) -> list[tuple[Form, list[str]]]:

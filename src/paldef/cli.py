@@ -5,6 +5,11 @@ verdict (true / valid / SAT / OK / verified), 1 for a negative one, 2 for
 any error (bad syntax, invalid model, missing file, input nested too deeply).
 With --machine the only stdout output is one JSON object {subcommand,
 verdict, details}.
+
+Input nested deeper than the recursion limit is "nested too deeply" for
+`check`, `sat`, `valid`, `reduce`, and `prove-verify` on a deep `taut` line,
+which still recurse.  `parse` and `defcheck` have no depth limit, except
+where `defcheck` compares two deep formulas (a `!=` literal, a witness).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     And, Atom, BoolForm, Neg, NegF, EquivF, OccSubst, apply_occ_subst,
-    is_circular, leaves, length, lex_key, parse_form, project_bool,
+    is_circular, leaves, length, lex_key, parse_form, project_bool, substitute,
     text_of_bool, vocabulary,
 )
 from .models import truth
@@ -543,21 +543,30 @@ class DefState:
 
         Each class is resolved once per state; the results share subtrees.
         """
-        def go(f: BoolForm) -> BoolForm:
-            match f:
-                case Atom():
-                    r = self.rep(f)
-                    image = self._resolved.get(r)
-                    if image is None:
-                        binding = self._bindings.get(r)
-                        image = self._resolved[r] = go(binding.image) if binding else r
-                    return image
-                case Neg(inner):
-                    return Neg(go(inner))
-                case And(left, right):
-                    return And(go(left), go(right))
-            raise TypeError(f"not a boolean formula: {f!r}")
-        return go(P)
+        return substitute(P, self._resolve_class)
+
+    def _resolve_class(self, a: Atom) -> BoolForm:
+        """The resolved image of a's class.  The classes its binding image
+        mentions are resolved first, left to right, from an explicit stack."""
+        resolved = self._resolved
+        r = self.rep(a)
+        if r not in resolved:
+            def lookup(b: Atom) -> BoolForm:
+                return resolved[self.rep(b)]
+
+            todo: list = [r]  # a class, or (class,) once its dependencies are resolved
+            while todo:
+                c = todo.pop()
+                if type(c) is tuple:
+                    resolved[c[0]] = substitute(self._bindings[c[0]].image, lookup)
+                elif c not in resolved:
+                    binding = self._bindings.get(c)
+                    if binding is None:
+                        resolved[c] = c
+                    else:
+                        todo.append((c,))
+                        todo += [self.rep(b) for b in reversed(leaves(binding.image))]
+        return resolved[r]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .syntax import (
-    And, AndF, Atom, BoolForm, Neg, NegF, parse_bool, text_of_bool, vocabulary,
+    And, AndF, Atom, BoolForm, Neg, NegF, parse_bool, postorder, substitute,
+    text_of_bool, vocabulary,
 )
 
 __all__ = [
@@ -58,8 +59,10 @@ class Premodel:
     def __post_init__(self) -> None:
         if not self.worlds:
             raise ValueError("a premodel needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
-            raise ValueError("duplicate world ids")
+        for what, items in (("world ids", self.worlds), ("vocabulary entries", self.vocabulary),
+                            ("agents", self.agents)):
+            if len(set(items)) != len(items):
+                raise ValueError(f"duplicate {what}")
         world_set = set(self.worlds)
         vocab_set = set(self.vocabulary)
         for agent, pairs in self.relations.items():
@@ -120,31 +123,35 @@ def unravel(model: Premodel, world: str, P: BoolForm) -> BoolForm:
     On a valid model the images mention only self-evident atoms, so one pass
     is already a fixpoint.
     """
-    defs = model.definitions[world]
-    def go(f: BoolForm) -> BoolForm:
-        match f:
-            case Atom():
-                if f not in defs:
-                    raise ValueError(f"unknown atom {f} at world {world!r}")
-                return defs[f]
-            case Neg(inner):
-                return Neg(go(inner))
-            case And(left, right):
-                return And(go(left), go(right))
-        raise TypeError(f"not a boolean formula: {f!r}")
-    return go(P)
+    image = model.definitions[world].__getitem__
+    try:
+        return substitute(P, image)
+    except KeyError as e:
+        raise ValueError(f"unknown atom {e.args[0]} at world {world!r}") from None
 
 
 def truth(P: BoolForm, vals) -> bool:
-    """Truth value of P under `vals`; KeyError names an unvalued atom."""
-    match P:
-        case Atom():
-            return vals[P]
-        case Neg(inner):
-            return not truth(inner, vals)
-        case And(left, right):
-            return truth(left, vals) and truth(right, vals)
-    raise TypeError(f"not a boolean formula: {P!r}")
+    """Truth value of P under `vals`; KeyError names the first unvalued atom
+    whose value is needed, as conjunctions short-circuit from the left."""
+    if type(P) is Atom:
+        return vals[P]
+    values: list = []  # a bool, or an unvalued atom that stands for its KeyError
+    for g in postorder(P):
+        kind = type(g)
+        if kind is Atom:
+            values.append(vals.get(g, g))
+        elif kind is Neg:
+            if type(values[-1]) is not Atom:
+                values[-1] = not values[-1]
+        elif kind is And:
+            right = values.pop()
+            if type(values[-1]) is not Atom and values[-1]:
+                values[-1] = right
+        else:
+            raise TypeError(f"not a boolean formula: {g!r}")
+    if type(values[0]) is Atom:
+        raise KeyError(values[0])
+    return values[0]
 
 
 def eval_bool(model: Premodel, world: str, P: BoolForm) -> bool:
@@ -362,10 +369,12 @@ def json_typed(value, kind: type, what: str):
 
 
 def _world_pairs(pairs, agent: str) -> frozenset[tuple[str, str]]:
-    try:
-        return frozenset((u, v) for u, v in pairs)
-    except (TypeError, ValueError):
-        raise ValueError(f'"relations" of {agent} must be a list of pairs of world ids') from None
+    """One agent's relation: a list of pairs, each a list of two world ids."""
+    if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)
+            for pair in pairs):
+        raise ValueError(f'"relations" of {agent} must be a list of pairs of world ids')
+    return frozenset((u, v) for u, v in pairs)
 
 
 def premodel_from_dict(data: dict) -> Premodel:

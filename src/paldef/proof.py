@@ -27,7 +27,8 @@ from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg,
     NegF, OccSubst, apply_occ_subst, as_iff, embed_bool, form_agents,
-    form_vocabulary, is_circular, mk_imp, occurrences, parse_form, text_of_form,
+    form_vocabulary, is_circular, mk_imp, occurrences, parse_form, postorder,
+    text_of_form,
 )
 
 __all__ = [
@@ -344,21 +345,27 @@ class _Branch:
 
 
 def _forbid_dynamic(formula: Form) -> None:
-    match formula:
-        case AnnF():
-            raise ValueError(
-                f"satisfiable() handles the announcement-free fragment; "
-                f"reduce or avoid {text_of_form(formula)}"
-            )
-        case KdF() | DefIsF():
-            op = "kd" if isinstance(formula, KdF) else ":="
-            raise ValueError(
-                f"satisfiable() does not decide {op}; avoid {text_of_form(formula)}")
-        case NegF(inner) | BoxF(_, inner):
-            _forbid_dynamic(inner)
-        case AndF(left, right):
-            _forbid_dynamic(left)
-            _forbid_dynamic(right)
+    """Refuse the first announcement, `kd` or `:=` in reading order."""
+    first: list = []  # per modal subformula: the first refused node in it, or None
+    for g in postorder(formula):
+        kind = type(g)
+        if kind is AnnF or kind is KdF or kind is DefIsF:
+            if kind is AnnF:
+                del first[-2:]  # an announcement comes before its operands
+            first.append(g)
+        elif kind is AtomF or kind is EquivF:
+            first.append(None)
+        elif kind is AndF:
+            right = first.pop()
+            first[-1] = first[-1] or right
+        # NegF and BoxF keep their operand's entry; boolean nodes have none
+    refused = first[0]
+    if type(refused) is AnnF:
+        raise ValueError(f"satisfiable() handles the announcement-free fragment; "
+                         f"reduce or avoid {text_of_form(refused)}")
+    if refused is not None:
+        op = "kd" if type(refused) is KdF else ":="
+        raise ValueError(f"satisfiable() does not decide {op}; avoid {text_of_form(refused)}")
 
 
 def _explore(branch: _Branch, world_id: str):

@@ -11,7 +11,8 @@ boolean-layer only: `P == Q`, `p := P`, and `kd i P` (`kx i P` is sugar for
 `box i P & kd i P`).
 
 Formula values are immutable and hashable; every function here is pure.
-Parsing and printing use explicit stacks, so they have no depth limit.
+Parsing, printing and the walkers built on `postorder` use explicit stacks,
+so they have no depth limit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "length", "vocabulary", "form_vocabulary", "form_agents",
     "lex_key", "lex_compare", "leaves", "occurrences",
     "apply_occ_subst", "apply_simultaneous", "is_circular",
-    "embed_bool", "project_bool",
+    "postorder", "substitute", "embed_bool", "project_bool",
     "mk_or", "mk_imp", "mk_iff", "as_or", "as_imp", "as_iff",
 ]
 
@@ -218,49 +219,91 @@ def as_iff(f: Form) -> tuple[Form, Form] | None:
     return None
 
 
-def embed_bool(P: BoolForm) -> Form:
-    """The canonical modal-layer formula expressing a boolean-layer formula."""
-    done: list[Form] = []
-    todo: list = [P]
+# ---------------------------------------------------------------------------
+# Walking formulas.  The walkers of both layers read the flat node list of
+# `postorder`, folding it with a value stack where they build a result, so
+# none of them recurses and depth is unbounded.
+
+def postorder(f: Form | BoolForm) -> list:
+    """The nodes of a formula of either layer, children before parents, left
+    to right.
+
+    A modal node's boolean operands are its children too: the atom of an
+    `AtomF`, both sides of an `EquivF`, the body of a `KdF`, and the atom and
+    body of a `DefIsF`.  The list is a right-first pre-order, reversed.
+    """
+    if type(f) is Atom:
+        return [f]
+    out = []
+    todo = [f]
     while todo:
         g = todo.pop()
-        match g:
-            case Atom():
-                done.append(AtomF(g))
-            case Neg(inner):
-                todo += ("~", inner)
-            case And(left, right):
-                todo += ("&", right, left)
-            case "~":
-                done.append(NegF(done.pop()))
-            case "&":
-                right = done.pop()
-                done.append(AndF(done.pop(), right))
-            case _:
-                raise TypeError(f"not a boolean formula: {g!r}")
+        out.append(g)
+        kind = type(g)
+        if kind is Atom:
+            continue
+        if kind is Neg or kind is NegF or kind is BoxF:
+            todo.append(g.inner)
+        elif kind is And or kind is AndF or kind is EquivF:
+            todo += (g.left, g.right)
+        elif kind is AtomF:
+            todo.append(g.atom)
+        elif kind is AnnF:
+            todo += (g.announced, g.inner)
+        elif kind is KdF:
+            todo.append(g.body)
+        elif kind is DefIsF:
+            todo += (g.atom, g.body)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    out.reverse()
+    return out
+
+
+def _fold(P: BoolForm, leaf, neg, conj):
+    """P rebuilt bottom-up: leaf(atom) for each atom occurrence, left to right,
+    neg(x) for each negation and conj(x, y) for each conjunction."""
+    if type(P) is Atom:
+        return leaf(P)
+    done = []
+    for g in postorder(P):
+        kind = type(g)
+        if kind is Atom:
+            done.append(leaf(g))
+        elif kind is Neg:
+            done[-1] = neg(done[-1])
+        elif kind is And:
+            right = done.pop()
+            done[-1] = conj(done[-1], right)
+        else:
+            raise TypeError(f"not a boolean formula: {g!r}")
     return done[0]
+
+
+def substitute(P: BoolForm, image) -> BoolForm:
+    """P with each atom occurrence a replaced by image(a), called left to right."""
+    return _fold(P, image, Neg, And)
+
+
+def embed_bool(P: BoolForm) -> Form:
+    """The canonical modal-layer formula expressing a boolean-layer formula."""
+    return _fold(P, AtomF, NegF, AndF)
 
 
 def project_bool(f: Form) -> BoolForm | None:
     """Inverse of embed_bool; None when f uses any non-boolean operator."""
     done: list[BoolForm] = []
-    todo: list = [f]
-    while todo:
-        g = todo.pop()
-        match g:
-            case AtomF(a):
-                done.append(a)
-            case NegF(inner):
-                todo += ("~", inner)
-            case AndF(left, right):
-                todo += ("&", right, left)
-            case "~":
-                done.append(Neg(done.pop()))
-            case "&":
-                right = done.pop()
-                done.append(And(done.pop(), right))
-            case _:
-                return None
+    for g in postorder(f):
+        kind = type(g)
+        if kind is NegF:
+            done[-1] = Neg(done[-1])
+        elif kind is AndF:
+            right = done.pop()
+            done[-1] = And(done[-1], right)
+        elif kind is Atom:
+            done.append(g)  # the atom of an AtomF, which comes next
+        elif kind is not AtomF:
+            return None
     return done[0]
 
 
@@ -269,57 +312,21 @@ def project_bool(f: Form) -> BoolForm | None:
 
 def length(P: BoolForm) -> int:
     """Symbol count of the printed form; parentheses count."""
-    match P:
-        case Atom():
-            return 1
-        case Neg(inner):
-            return length(inner) + 1
-        case And(left, right):
-            return length(left) + length(right) + 3
-    raise TypeError(f"not a boolean formula: {P!r}")
+    return sum(3 if type(g) is And else 1 for g in postorder(P))
 
 
-def vocabulary(P: BoolForm) -> frozenset[Atom]:
-    match P:
-        case Atom():
-            return frozenset((P,))
-        case Neg(inner):
-            return vocabulary(inner)
-        case And(left, right):
-            return vocabulary(left) | vocabulary(right)
-    raise TypeError(f"not a boolean formula: {P!r}")
+def vocabulary(f: Form | BoolForm) -> frozenset[Atom]:
+    """The atoms of a formula of either layer."""
+    if type(f) is Atom:
+        return frozenset((f,))
+    return frozenset(leaves(f))
 
 
-def form_vocabulary(f: Form) -> frozenset[Atom]:
-    match f:
-        case AtomF(a):
-            return frozenset((a,))
-        case EquivF(left, right):
-            return vocabulary(left) | vocabulary(right)
-        case NegF(inner) | BoxF(_, inner):
-            return form_vocabulary(inner)
-        case AndF(left, right) | AnnF(left, right):
-            return form_vocabulary(left) | form_vocabulary(right)
-        case KdF(_, body):
-            return vocabulary(body)
-        case DefIsF(atom, body):
-            return vocabulary(body) | {atom}
-    raise TypeError(f"not a formula: {f!r}")
+form_vocabulary = vocabulary  # the modal layer's atoms are found by the same walk
 
 
 def form_agents(f: Form) -> frozenset[str]:
-    match f:
-        case AtomF() | EquivF() | DefIsF():
-            return frozenset()
-        case NegF(inner):
-            return form_agents(inner)
-        case AndF(left, right) | AnnF(left, right):
-            return form_agents(left) | form_agents(right)
-        case BoxF(agent, inner):
-            return form_agents(inner) | {agent}
-        case KdF(agent, _):
-            return frozenset((agent,))
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.agent for g in postorder(f) if type(g) is BoxF or type(g) is KdF)
 
 
 def lex_key(P: BoolForm):
@@ -329,14 +336,7 @@ def lex_key(P: BoolForm):
     compound formulas compare componentwise left to right.  Python tuple
     comparison on these keys is exactly that order.
     """
-    match P:
-        case Atom(name):
-            return (0, name)
-        case Neg(inner):
-            return (1, lex_key(inner))
-        case And(left, right):
-            return (2, lex_key(left), lex_key(right))
-    raise TypeError(f"not a boolean formula: {P!r}")
+    return _fold(P, lambda a: (0, a.name), lambda k: (1, k), lambda l, r: (2, l, r))
 
 
 def lex_compare(P: BoolForm, Q: BoolForm) -> int:
@@ -345,22 +345,9 @@ def lex_compare(P: BoolForm, Q: BoolForm) -> int:
     return -1 if kp < kq else (0 if kp == kq else 1)
 
 
-def leaves(P: BoolForm) -> list[Atom]:
+def leaves(P: Form | BoolForm) -> list[Atom]:
     """The atom occurrences of P, left to right (printed order)."""
-    found: list[Atom] = []
-    todo = [P]
-    while todo:
-        f = todo.pop()
-        match f:
-            case Atom():
-                found.append(f)
-            case Neg(inner):
-                todo.append(inner)
-            case And(left, right):
-                todo += (right, left)
-            case _:
-                raise TypeError(f"not a boolean formula: {f!r}")
-    return found
+    return [g for g in postorder(P) if type(g) is Atom]
 
 
 def occurrences(p: Atom, Q: BoolForm) -> int:
@@ -410,19 +397,11 @@ def apply_simultaneous(subs: list[OccSubst] | tuple[OccSubst, ...], Q: BoolForm)
 
     counts: dict[Atom, int] = {}
 
-    def go(f: BoolForm) -> BoolForm:
-        match f:
-            case Atom():
-                counts[f] = counts.get(f, 0) + 1
-                return targets.get((f, counts[f]), f)
-            case Neg(inner):
-                return Neg(go(inner))
-            case And(left, right):
-                new_l = go(left)
-                return And(new_l, go(right))
-        raise TypeError(f"not a boolean formula: {f!r}")
+    def image(a: Atom) -> BoolForm:
+        counts[a] = counts.get(a, 0) + 1
+        return targets.get((a, counts[a]), a)
 
-    return go(Q)
+    return substitute(Q, image)
 
 
 def is_circular(P: BoolForm, Q: BoolForm) -> bool:

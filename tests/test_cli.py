@@ -205,6 +205,14 @@ class TestMalformedFiles:
         (("check", "p"), [], "model file"),
         (("check", "p"), {"vocabulary": 5}, '"vocabulary"'),
         (("check", "p"), _fig1_with(("worlds", 0, "def", "p"), 7), '"def"'),
+        (("validate",), _fig1_with(("relations", "i", 0), "ab"), '"relations" of i'),
+        (("validate",), _fig1_with(("relations", "i", 0), ["left", "left", "left"]),
+         '"relations" of i'),
+        (("validate",), _fig1_with(("relations", "i", 0), ["left", 1]), '"relations" of i'),
+        (("validate",), _fig1_with(("relations", "i"), "ab"), '"relations" of i'),
+        (("validate",), _fig1_with(("relations", "i"), {"left": "left"}), '"relations" of i'),
+        (("validate",), _fig1_with(("vocabulary",), ["p", "q", "r", "p"]), "duplicate vocabulary"),
+        (("validate",), _fig1_with(("agents",), ["i", "i"]), "duplicate agents"),
     ])
     def test_wrong_shape_is_an_error_naming_the_field(self, capsys, tmp_path,
                                                        argv, content, field):
@@ -244,8 +252,9 @@ class TestMiscellaneous:
 
 
 class TestDeepInput:
-    # parsing and printing have no depth limit; evaluate and resolve are
-    # still recursive, so the other subcommands report deep input as an error
+    # parsing, printing and the formula walkers have no depth limit, so parse
+    # and defcheck take deep input; evaluate is still recursive, so `check`
+    # reports deep input as an error
     @pytest.mark.parametrize("text,canonical", [
         ("~" * 3000 + "p", "~" * 3000 + "p"),
         ("(" * 400 + "p" + ")" * 400, "p"),
@@ -257,15 +266,24 @@ class TestDeepInput:
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["details"]["canonical"] == canonical
 
-    @pytest.mark.parametrize("argv,lits", [
-        (("check", "fig1", "box i " * 2000 + "p"), None),
-        (("defcheck",), "".join(f"x{k} == (x{k + 1} & r)\n" for k in range(600))),
-    ], ids=["boxes", "linear-chain"])
-    def test_too_deep_is_an_error(self, capsys, tmp_path, argv, lits):
-        if lits is not None:
-            path = tmp_path / "linear.lits"
-            path.write_text(lits, encoding="utf-8")
-            argv += (str(path),)
+    def test_defcheck_has_no_depth_limit(self, capsys, tmp_path):
+        n = 600
+        path = tmp_path / "linear.lits"
+        path.write_text("".join(f"x{k} == (x{k + 1} & r)\n" for k in range(n)),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "--machine", "defcheck", str(path))
+        assert code == 0 and "Traceback" not in err
+        seed = json.loads(out)["details"]["seed"]
+        defs, vals = seed["def"], seed["valuation"]
+        assert defs["r"] == "r" and defs[f"x{n}"] == f"x{n}"
+        for k in range(n):  # every input literal holds in the seed
+            assert defs[f"x{k}"] == f"({defs[f'x{k + 1}']} & {defs['r']})"
+            assert vals[f"x{k}"] == (vals[f"x{k + 1}"] and vals["r"])
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "fig1", "box i " * 2000 + "p"),
+    ], ids=["boxes"])
+    def test_too_deep_is_an_error(self, capsys, argv):
         code, out, err = run(capsys, "--machine", *argv)
         assert code == 2 and "Traceback" not in err
         payload = json.loads(out)

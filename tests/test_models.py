@@ -207,6 +207,21 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             loads(json.dumps(data))
 
+    @pytest.mark.parametrize("field,value", [
+        ("vocabulary", ["p", "p"]), ("agents", ["i", "i"])])
+    def test_duplicate_vocabulary_or_agents(self, figs, field, value):
+        data = json.loads(dumps(figs["fig2"]))
+        data[field] = value
+        with pytest.raises(ValueError, match="duplicate"):
+            loads(json.dumps(data))
+
+    @pytest.mark.parametrize("pairs", [["ab", "ba"], [["a", "b", "a"]], [["a", 1]], "ab"])
+    def test_relation_pairs_are_lists_of_two_world_ids(self, pairs):
+        data = {"vocabulary": [], "agents": ["i"], "relations": {"i": pairs},
+                "worlds": [{"id": w, "valuation": {}, "def": {}} for w in ("a", "b")]}
+        with pytest.raises(ValueError, match='"relations" of i'):
+            loads(json.dumps(data))
+
     def test_relation_over_unknown_world(self, figs):
         data = json.loads(dumps(figs["fig2"]))
         data["relations"]["i"].append(["left", "bogus"])

@@ -6,12 +6,14 @@ import re
 
 import pytest
 
+from paldef.definitions import DefState, EquivLiteral, literal_sat
+from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
     And, AndF, AnnF, Atom, AtomF, BoxF, EquivF, KdF, Neg, NegF,
     OccSubst, ParseError, apply_occ_subst, apply_simultaneous, embed_bool,
-    is_circular, leaves, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
-    occurrences, parse_bool, parse_form, project_bool, text_of_bool,
-    text_of_form, vocabulary,
+    form_agents, form_vocabulary, is_circular, leaves, length, lex_compare,
+    lex_key, mk_iff, mk_imp, mk_or, occurrences, parse_bool, parse_form,
+    postorder, project_bool, substitute, text_of_bool, text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -160,6 +162,80 @@ class TestMeasures:
         for _ in range(100_000):
             f = Neg(f)
         assert leaves(f) == [p]
+
+
+DEEP = 30_000
+
+
+def _deep(shape: str):
+    """A DEEP-level `~` chain over p, or a right comb (p & (q & (r & ...)))."""
+    if shape == "negations":
+        f = p
+        for _ in range(DEEP):
+            f = Neg(f)
+        return f
+    f = p
+    for k in range(DEEP):
+        f = And((q, r, p)[k % 3], f)
+    return f
+
+
+_P_IS_Q_AND_R = single_world_model((p, q, r), (), {}, {p: And(q, r)})
+
+
+class TestDeepFormulas:
+    """Every walker returns on formulas far deeper than the recursion limit;
+    results are compared as text, because deep `==` still recurses."""
+
+    @pytest.mark.parametrize("shape", ["negations", "comb"])
+    @pytest.mark.parametrize("walker", [
+        "postorder", "length", "vocabulary", "form_vocabulary", "form_agents",
+        "lex_key", "leaves", "occurrences", "apply_simultaneous", "substitute",
+        "embed_bool", "project_bool", "unravel", "truth", "resolve"])
+    def test_walkers_have_no_recursion_limit(self, shape, walker):
+        P = _deep(shape)
+        text = text_of_bool(P)
+        atoms = 1 if shape == "negations" else DEEP + 1
+        with_p_defined = text.replace("p", "(q & r)")
+        if walker == "postorder":
+            assert len(postorder(P)) == (DEEP + 1 if shape == "negations" else 2 * DEEP + 1)
+        elif walker == "length":
+            assert length(P) == len(text.replace(" ", ""))
+        elif walker in ("vocabulary", "form_vocabulary"):
+            found = vocabulary(P) if walker == "vocabulary" else form_vocabulary(embed_bool(P))
+            assert found == ({p} if shape == "negations" else {p, q, r})
+        elif walker == "form_agents":
+            assert form_agents(BoxF("i", embed_bool(P))) == {"i"}
+        elif walker == "lex_key":
+            assert lex_key(P)[0] == (1 if shape == "negations" else 2)
+        elif walker == "leaves":
+            assert len(leaves(P)) == atoms
+        elif walker == "occurrences":
+            assert occurrences(p, P) == text.count("p")
+        elif walker == "apply_simultaneous":
+            last = OccSubst(occurrences(p, P), p, Neg(s))
+            assert text_of_bool(apply_simultaneous([last], P)) == text[::-1].replace(
+                "p", "s~", 1)[::-1]
+        elif walker == "substitute":
+            assert text_of_bool(substitute(P, lambda a: And(q, r) if a == p else a)) \
+                == with_p_defined
+        elif walker == "embed_bool":
+            assert text_of_form(embed_bool(P)) == text
+        elif walker == "project_bool":
+            assert text_of_bool(project_bool(embed_bool(P))) == text
+        elif walker == "unravel":
+            assert text_of_bool(unravel(_P_IS_Q_AND_R, "w0", P)) == with_p_defined
+        elif walker == "truth":
+            value = truth(P, {p: True, q: True, r: True})
+            assert value is (DEEP % 2 == 0 if shape == "negations" else True)
+        else:
+            state = DefState().assert_equiv(p, And(q, r))
+            assert text_of_bool(state.resolve(P)) == with_p_defined
+
+    def test_long_definition_chain_is_satisfiable(self):
+        n = 6_000
+        chain = [EquivLiteral(True, Atom(f"x{k}"), And(Atom(f"x{k + 1}"), r)) for k in range(n)]
+        assert literal_sat(chain).satisfiable
 
 
 class TestLexOrder:
