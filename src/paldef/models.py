@@ -59,12 +59,12 @@ class Premodel:
     def __post_init__(self) -> None:
         if not self.worlds:
             raise ValueError("a premodel needs at least one world")
-        for what, items in (("world ids", self.worlds), ("vocabulary entries", self.vocabulary),
-                            ("agents", self.agents)):
-            if len(set(items)) != len(items):
+        world_set, vocab_set = set(self.worlds), set(self.vocabulary)
+        for what, items, distinct in (("world ids", self.worlds, world_set),
+                                      ("vocabulary entries", self.vocabulary, vocab_set),
+                                      ("agents", self.agents, set(self.agents))):
+            if len(distinct) != len(items):
                 raise ValueError(f"duplicate {what}")
-        world_set = set(self.worlds)
-        vocab_set = set(self.vocabulary)
         for agent, pairs in self.relations.items():
             if agent not in self.agents:
                 raise ValueError(f"relation for undeclared agent {agent!r}")

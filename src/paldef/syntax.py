@@ -263,8 +263,6 @@ def postorder(f: Form | BoolForm) -> list:
 def _fold(P: BoolForm, leaf, neg, conj):
     """P rebuilt bottom-up: leaf(atom) for each atom occurrence, left to right,
     neg(x) for each negation and conj(x, y) for each conjunction."""
-    if type(P) is Atom:
-        return leaf(P)
     done = []
     for g in postorder(P):
         kind = type(g)
@@ -282,7 +280,7 @@ def _fold(P: BoolForm, leaf, neg, conj):
 
 def substitute(P: BoolForm, image) -> BoolForm:
     """P with each atom occurrence a replaced by image(a), called left to right."""
-    return _fold(P, image, Neg, And)
+    return image(P) if type(P) is Atom else _fold(P, image, Neg, And)
 
 
 def embed_bool(P: BoolForm) -> Form:
