@@ -183,54 +183,49 @@ def _deep(shape: str):
 _P_IS_Q_AND_R = single_world_model((p, q, r), (), {}, {p: And(q, r)})
 
 
+def _p_defined(text: str) -> str:
+    return text.replace("p", "(q & r)")
+
+
+def _atom_names(text: str) -> list[str]:
+    return sorted(set(text) & set("pqr"))
+
+
+# walker -> (its result on a formula P, the expected result from P's text)
+_DEEP_CASES = {
+    "postorder": (lambda P: len(postorder(P)), lambda t: t.count("~") + 2 * t.count("&") + 1),
+    "length": (length, lambda t: len(t.replace(" ", ""))),
+    "vocabulary": (lambda P: sorted(a.name for a in vocabulary(P)), _atom_names),
+    "form_vocabulary": (lambda P: sorted(a.name for a in form_vocabulary(embed_bool(P))),
+                        _atom_names),
+    "form_agents": (lambda P: form_agents(BoxF("i", embed_bool(P))), lambda t: {"i"}),
+    "lex_key": (lambda P: lex_key(P)[0], lambda t: 1 if t[0] == "~" else 2),
+    "leaves": (lambda P: len(leaves(P)), lambda t: t.count("&") + 1),
+    "occurrences": (lambda P: occurrences(p, P), lambda t: t.count("p")),
+    "apply_simultaneous": (  # the last p becomes ~s
+        lambda P: text_of_bool(apply_simultaneous([OccSubst(occurrences(p, P), p, Neg(s))], P)),
+        lambda t: t[::-1].replace("p", "s~", 1)[::-1]),
+    "substitute": (lambda P: text_of_bool(substitute(P, lambda a: And(q, r) if a == p else a)),
+                   _p_defined),
+    "embed_bool": (lambda P: text_of_form(embed_bool(P)), lambda t: t),
+    "project_bool": (lambda P: text_of_bool(project_bool(embed_bool(P))), lambda t: t),
+    "unravel": (lambda P: text_of_bool(unravel(_P_IS_Q_AND_R, "w0", P)), _p_defined),
+    "truth": (lambda P: truth(P, {p: True, q: True, r: True}), lambda t: t.count("~") % 2 == 0),
+    "resolve": (lambda P: text_of_bool(DefState().assert_equiv(p, And(q, r)).resolve(P)),
+                _p_defined),
+}
+
+
 class TestDeepFormulas:
     """Every walker returns on formulas far deeper than the recursion limit;
     results are compared as text, because deep `==` still recurses."""
 
     @pytest.mark.parametrize("shape", ["negations", "comb"])
-    @pytest.mark.parametrize("walker", [
-        "postorder", "length", "vocabulary", "form_vocabulary", "form_agents",
-        "lex_key", "leaves", "occurrences", "apply_simultaneous", "substitute",
-        "embed_bool", "project_bool", "unravel", "truth", "resolve"])
+    @pytest.mark.parametrize("walker", list(_DEEP_CASES))
     def test_walkers_have_no_recursion_limit(self, shape, walker):
         P = _deep(shape)
-        text = text_of_bool(P)
-        atoms = 1 if shape == "negations" else DEEP + 1
-        with_p_defined = text.replace("p", "(q & r)")
-        if walker == "postorder":
-            assert len(postorder(P)) == (DEEP + 1 if shape == "negations" else 2 * DEEP + 1)
-        elif walker == "length":
-            assert length(P) == len(text.replace(" ", ""))
-        elif walker in ("vocabulary", "form_vocabulary"):
-            found = vocabulary(P) if walker == "vocabulary" else form_vocabulary(embed_bool(P))
-            assert found == ({p} if shape == "negations" else {p, q, r})
-        elif walker == "form_agents":
-            assert form_agents(BoxF("i", embed_bool(P))) == {"i"}
-        elif walker == "lex_key":
-            assert lex_key(P)[0] == (1 if shape == "negations" else 2)
-        elif walker == "leaves":
-            assert len(leaves(P)) == atoms
-        elif walker == "occurrences":
-            assert occurrences(p, P) == text.count("p")
-        elif walker == "apply_simultaneous":
-            last = OccSubst(occurrences(p, P), p, Neg(s))
-            assert text_of_bool(apply_simultaneous([last], P)) == text[::-1].replace(
-                "p", "s~", 1)[::-1]
-        elif walker == "substitute":
-            assert text_of_bool(substitute(P, lambda a: And(q, r) if a == p else a)) \
-                == with_p_defined
-        elif walker == "embed_bool":
-            assert text_of_form(embed_bool(P)) == text
-        elif walker == "project_bool":
-            assert text_of_bool(project_bool(embed_bool(P))) == text
-        elif walker == "unravel":
-            assert text_of_bool(unravel(_P_IS_Q_AND_R, "w0", P)) == with_p_defined
-        elif walker == "truth":
-            value = truth(P, {p: True, q: True, r: True})
-            assert value is (DEEP % 2 == 0 if shape == "negations" else True)
-        else:
-            state = DefState().assert_equiv(p, And(q, r))
-            assert text_of_bool(state.resolve(P)) == with_p_defined
+        run, expected = _DEEP_CASES[walker]
+        assert run(P) == expected(text_of_bool(P))
 
     def test_long_definition_chain_is_satisfiable(self):
         n = 6_000
