@@ -10,6 +10,9 @@ V_w(p) = V_w(unravel(p)); `validate` checks exactly that, and the test suite
 guards the reduction by brute force.
 
 Models are immutable after validation; `restrict` returns a fresh model.
+Each premodel indexes its successors once, per agent and world, in sorted
+order, the first time `successors` is asked; `restrict` derives the
+restricted model's index from its parent's instead of scanning relations.
 
 The module also holds the propositional core that the decision procedures
 share.  `truth` evaluates a boolean formula under a dict valuation.  `Cnf`
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .syntax import (
@@ -88,15 +92,40 @@ class Premodel:
         if self.actual is not None and self.actual not in world_set:
             raise ValueError(f"actual world {self.actual!r} is not a world")
 
-    def successors(self, agent: str, world: str) -> list[str]:
-        if agent not in self.agents:
-            raise ValueError(f"unknown agent {agent!r}")
-        pairs = self.relations.get(agent, frozenset())
-        return sorted(v for u, v in pairs if u == world)
+    def successors(self, agent: str, world: str) -> tuple[str, ...]:
+        """The agent's successors of the world, sorted; an index lookup."""
+        try:
+            return self._successor_index()[agent].get(world, ())
+        except KeyError:
+            raise ValueError(f"unknown agent {agent!r}") from None
+
+    def _successor_index(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """agent -> world -> its sorted successors, for every declared agent;
+        a world without successors has no entry.  Built on the first call
+        and kept as the `_successors` attribute, set like the fields are
+        (a write to `__dict__` would give every instance a dict of its own)."""
+        try:
+            return self._successors
+        except AttributeError:
+            pass
+        index: dict[str, dict[str, tuple[str, ...]]] = {agent: {} for agent in self.agents}
+        for agent, pairs in self.relations.items():
+            lists: dict[str, list[str]] = {}
+            for u, v in pairs:
+                lists.setdefault(u, []).append(v)
+            index[agent] = {u: tuple(sorted(vs)) for u, vs in lists.items()}
+        object.__setattr__(self, "_successors", index)
+        return index
 
 
 class Model(Premodel):
     """A premodel that passed (or provably preserves) both model constraints."""
+
+    def __post_init__(self) -> None:
+        """Skip the premodel shape checks.  A Model is only built by
+        `validate`, from a Premodel that passed them, or by `restrict`, from
+        a Model, keeping some of its worlds and the pairs between them; both
+        hand over data that already has the checked shape."""
 
 
 @dataclass(frozen=True)
@@ -292,25 +321,41 @@ def restrict(model: Model, keep) -> Model:
     """Drop all worlds outside `keep`, preserving valuations and definitions.
 
     Restriction only removes worlds and relation pairs, so both model
-    constraints (which are per-world) are preserved; no revalidation needed.
+    constraints (which are per-world) are preserved and the result is built
+    without revalidation or shape checks.  The result's successor index and
+    relations come from one pass over the kept worlds' entries in the
+    model's index: filtering a sorted tuple keeps it sorted, so nothing is
+    rescanned or sorted again.
     """
     keep = set(keep)
-    unknown = keep - set(model.worlds)
+    unknown = keep.difference(model.worlds)
     if unknown:
         raise ValueError(f"cannot keep unknown worlds {sorted(unknown)}")
     if not keep:
         raise ValueError("restriction to the empty set of worlds")
     worlds = tuple(w for w in model.worlds if w in keep)
-    return Model(
+    parent = model._successor_index()
+    index: dict[str, dict[str, tuple[str, ...]]] = {agent: {} for agent in model.agents}
+    relations: dict[str, frozenset[tuple[str, str]]] = {}
+    for agent in model.relations:
+        succ, child, pairs = parent[agent], index[agent], []
+        for u in worlds:
+            kept = tuple(filter(keep.__contains__, succ.get(u, ())))
+            if kept:
+                child[u] = kept
+                pairs += zip(repeat(u), kept)
+        relations[agent] = frozenset(pairs)
+    result = Model(
         model.vocabulary,
         model.agents,
         worlds,
         {w: model.valuation[w] for w in worlds},
         {w: model.definitions[w] for w in worlds},
-        {a: frozenset((u, v) for u, v in pairs if u in keep and v in keep)
-         for a, pairs in model.relations.items()},
+        relations,
         model.actual if model.actual in keep else None,
     )
+    object.__setattr__(result, "_successors", index)
+    return result
 
 
 def single_world_model(vocabulary_atoms, agents, valuation, definitions,
@@ -368,13 +413,17 @@ def json_typed(value, kind: type, what: str):
     return value
 
 
-def _world_pairs(pairs, agent: str) -> frozenset[tuple[str, str]]:
-    """One agent's relation: a list of pairs, each a list of two world ids."""
+def _world_pairs(pairs, agent: str, ids: dict[str, str]) -> frozenset[tuple[str, str]]:
+    """One agent's relation: a list of pairs, each a list of two world ids.
+
+    A declared id is replaced by the string object in `ids`, so the pairs
+    share the world list's strings instead of each holding its own copies
+    from the JSON text; dense relations have thousands of pairs."""
     if not isinstance(pairs, list) or not all(
             isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)
             for pair in pairs):
         raise ValueError(f'"relations" of {agent} must be a list of pairs of world ids')
-    return frozenset((u, v) for u, v in pairs)
+    return frozenset((ids.get(u, u), ids.get(v, v)) for u, v in pairs)
 
 
 def premodel_from_dict(data: dict) -> Premodel:
@@ -396,7 +445,8 @@ def premodel_from_dict(data: dict) -> Premodel:
                             for name, value in json_typed(entry["valuation"], dict, '"valuation"').items()}
             definitions[w] = {Atom(name): parse_bool(json_typed(text, str, '"def" image'))
                               for name, text in json_typed(entry["def"], dict, '"def"').items()}
-        relations = {agent: _world_pairs(pairs, agent) for agent, pairs in
+        ids = {w: w for w in worlds}
+        relations = {agent: _world_pairs(pairs, agent, ids) for agent, pairs in
                      json_typed(data.get("relations", {}), dict, '"relations"').items()}
         for agent in agents:
             relations.setdefault(agent, frozenset())

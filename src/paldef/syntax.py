@@ -43,6 +43,16 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"invalid {what} name {name!r}: reserved word")
 
 
+def _unchecked(cls, **fields):
+    """A node of class cls built without its `__post_init__` name check, for
+    names the parser's tokenizer has already matched and kept apart from the
+    keywords."""
+    node = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(node, name, value)
+    return node
+
+
 # ---------------------------------------------------------------------------
 # Boolean layer
 
@@ -527,14 +537,15 @@ def _parse(text: str) -> tuple[Form, BoolForm | None, int | None]:
             if op == "~":
                 operands.append((NegF(f), Neg(b) if loose is None else None, loose))
             elif op == "box":
-                operands.append((BoxF(arg, f), None, pos))
+                operands.append((_unchecked(BoxF, agent=arg, inner=f), None, pos))
             elif op == "ann":
                 operands.append((AnnF(arg, f), None, pos))
             elif op == "kd" or op == "kx":
                 if loose is not None:
                     raise ParseError(f"'{op}' takes a boolean-layer formula", text, loose)
-                kd = KdF(arg, b)
-                operands.append((kd if op == "kd" else AndF(BoxF(arg, f), kd), None, pos))
+                kd = _unchecked(KdF, agent=arg, body=b)
+                operands.append((kd if op == "kd" else
+                                 AndF(_unchecked(BoxF, agent=arg, inner=f), kd), None, pos))
             else:
                 lf, lb, lloose = operands.pop()
                 strict = lloose is None and loose is None
@@ -572,7 +583,7 @@ def _parse(text: str) -> tuple[Form, BoolForm | None, int | None]:
             elif name is not None:
                 operand = atoms.get(name)
                 if operand is None:
-                    atom = Atom(name)
+                    atom = _unchecked(Atom, name=name)
                     operand = atoms[name] = (AtomF(atom), atom, None)
                 operands.append(operand)
                 want_operand = False

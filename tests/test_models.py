@@ -1,16 +1,20 @@
 """Model constraints, unraveling, restriction, and the file format."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
+import paldef.checker
+import paldef.models
+from paldef.checker import eval_global
 from paldef.models import (
     Cnf, InvalidModelError, Model, Premodel, dumps, eval_bool, first_model,
     fixture_names, fixture_path, load, loads, restrict, save,
     single_world_model, truth, unravel, validate,
 )
-from paldef.syntax import And, Atom, Neg, parse_bool, vocabulary
+from paldef.syntax import And, Atom, Neg, parse_bool, parse_form, vocabulary
 
 from helpers import all_bools, random_bool, random_valid_model, truth_table_models
 
@@ -184,6 +188,8 @@ class TestRestrict:
             restrict(figs["fig1"], set())
         with pytest.raises(ValueError):
             restrict(figs["fig1"], {"nowhere"})
+        with pytest.raises(ValueError):
+            restrict(restrict(figs["fig1"], {"left"}), {"middle"})
 
     def test_restriction_preserves_validity(self):
         rng = random.Random(22)
@@ -192,6 +198,101 @@ class TestRestrict:
             keep = [w for w in m.worlds if rng.random() < 0.6] or [m.worlds[0]]
             sub = restrict(m, keep)
             assert isinstance(validate(sub), Model)
+
+
+def _scanned_successors(model, agent, world):
+    return sorted(v for u, v in model.relations.get(agent, ()) if u == world)
+
+
+def _nested_restrictions(rng, model, depth=3):
+    """The model and a chain of random restrictions of it, each of the last."""
+    out = [model]
+    for _ in range(depth):
+        keep = [w for w in out[-1].worlds if rng.random() < 0.7] or [out[-1].worlds[-1]]
+        out.append(restrict(out[-1], keep))
+    return out
+
+
+def _index_test_models(figs):
+    rng = random.Random(31)
+    bases = list(figs.values()) + [random_valid_model(rng, max_worlds=7) for _ in range(60)]
+    return [m for base in bases for m in _nested_restrictions(rng, base)]
+
+
+class CountingPairs(frozenset):
+    """A relation that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _counted_model(rng, n=80) -> Model:
+    """A valid n-world model (every atom self-evident) over CountingPairs
+    relations, with their construction-time iterations reset."""
+    worlds = tuple(f"w{k}" for k in range(n))
+    vocab = (p, q)
+    relations = {agent: CountingPairs((u, v) for u in worlds for v in worlds
+                                      if rng.random() < 0.35)
+                 for agent in ("i", "j")}
+    model = validate(Premodel(
+        vocab, ("i", "j"), worlds,
+        {w: {a: rng.random() < 0.5 for a in vocab} for w in worlds},
+        {w: {a: a for a in vocab} for w in worlds},
+        relations, worlds[0]))
+    for pairs in model.relations.values():
+        pairs.iterations = 0
+    return model
+
+
+class TestSuccessorIndex:
+    def test_index_agrees_with_relation_scan(self, figs):
+        for m in _index_test_models(figs):
+            for agent in m.agents:
+                for w in m.worlds:
+                    assert list(m.successors(agent, w)) == _scanned_successors(m, agent, w)
+            with pytest.raises(ValueError):
+                m.successors("k", m.worlds[0])
+
+    def test_agent_without_relation_entry(self):
+        pm = Premodel((p,), ("i", "j"), ("u", "v"), {"u": {p: True}, "v": {p: False}},
+                      {"u": {p: p}, "v": {p: p}}, {"i": frozenset({("u", "v"), ("u", "u")})})
+        for m in (pm, validate(pm), restrict(validate(pm), {"u"})):
+            assert m.successors("j", "u") == m.successors("j", "v") == ()
+            assert list(m.successors("i", "u")) == _scanned_successors(m, "i", "u")
+            assert "j" not in m.relations
+
+    def test_results_rebuild_as_premodels(self, figs):
+        """Model skips the shape checks; its data must still pass them."""
+        names = [f.name for f in dataclasses.fields(Premodel)]
+        for m in _index_test_models(figs):
+            rebuilt = Premodel(**{name: getattr(m, name) for name in names})
+            assert isinstance(validate(rebuilt), Model)
+
+    def test_box_lookups_iterate_each_relation_once(self):
+        m = _counted_model(random.Random(41))
+        eval_global(m, parse_form("box i box j p"))
+        assert [pairs.iterations for pairs in m.relations.values()] == [1, 1]
+
+    def test_announcement_reads_the_parent_index(self, monkeypatch):
+        m = _counted_model(random.Random(42))
+        # restrict builds its relations with the module's `frozenset`
+        monkeypatch.setattr(paldef.models, "frozenset", CountingPairs, raising=False)
+        restricted = []
+
+        def recording_restrict(model, keep):
+            restricted.append(restrict(model, keep))
+            return restricted[-1]
+
+        monkeypatch.setattr(paldef.checker, "restrict", recording_restrict)
+        eval_global(m, parse_form("[p] box i q"))
+        assert restricted
+        assert all(pairs.iterations <= 1 for pairs in m.relations.values())
+        counts = [(type(pairs), pairs.iterations)
+                  for sub in restricted for pairs in sub.relations.values()]
+        assert set(counts) == {(CountingPairs, 0)}
 
 
 class TestFileFormat:
@@ -241,6 +342,13 @@ class TestFileFormat:
             assert loads(dumps(m)) == Premodel(
                 m.vocabulary, m.agents, m.worlds, m.valuation,
                 m.definitions, m.relations, m.actual)
+
+    def test_relation_pairs_share_the_world_ids(self, figs):
+        for m in figs.values():
+            loaded = loads(dumps(m))
+            ids = {id(w) for w in loaded.worlds}
+            assert all(id(u) in ids and id(v) in ids
+                       for pairs in loaded.relations.values() for u, v in pairs)
 
 
 class TestConstraintOneReduction:

@@ -412,6 +412,16 @@ class TestRoundTrip:
             Atom("box")
         with pytest.raises(ValueError):
             Atom("")
+        with pytest.raises(ValueError):
+            Atom("9x")
+        with pytest.raises(ValueError):
+            BoxF("kd", AtomF(Atom("p")))
+        with pytest.raises(ValueError):
+            KdF("I", Atom("p"))
+        # the parser builds its nodes without the check; they equal checked ones
+        checked = BoxF("i", AndF(BoxF("j", AtomF(Atom("p"))), KdF("j", Atom("p"))))
+        parsed = parse_form("box i kx j p")
+        assert parsed == checked and hash(parsed) == hash(checked)
 
 
 _TOKENS = ("p", "q", "r", "i", "box", "kd", "kx", "~", "&", "|", "->", "<->",
