@@ -288,8 +288,8 @@ class _Binding:
 class DefState:
     """Unification state over atoms-as-variables; treat as an immutable value.
 
-    All mutation happens on private copies inside assert_equiv; resolve only
-    fills a cache.
+    All mutation happens on private copies, in assert_equiv and on the state
+    literal_sat builds for one call; resolve only fills a cache.
     """
 
     _parent: dict[Atom, Atom] = field(default_factory=dict)
@@ -297,7 +297,8 @@ class DefState:
     _edges: dict[Atom, list[tuple[Atom, Derivation, int]]] = field(default_factory=dict)
     _events: int = 0  # union and bind events recorded so far
     # resolved image per class representative, filled lazily by resolve; a
-    # state never changes after assert_equiv returns it, so entries stay valid
+    # state never changes after assert_equiv returns it, and literal_sat
+    # resolves only after its last assertion, so entries stay valid
     _resolved: dict[Atom, BoolForm] = field(default_factory=dict, compare=False, repr=False)
 
     # -- structure ----------------------------------------------------------
@@ -600,7 +601,7 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
         if not lit.positive:
             continue
         try:
-            state = state.assert_equiv(lit.left, lit.right)
+            state._consume([(lit.left, lit.right, DInput(lit.left, lit.right))])
         except PatternClash as e:
             return SatCheck(False, "pattern-clash", f"{lit}: {e}")
         except CircularityDetected as e:

@@ -16,7 +16,7 @@ validated and re-checked before being returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .checker import evaluate
 from .definitions import (
@@ -26,9 +26,8 @@ from .definitions import (
 from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg,
-    NegF, OccSubst, apply_occ_subst, as_iff, embed_bool, form_agents,
-    form_vocabulary, is_circular, mk_imp, occurrences, parse_form, postorder,
-    text_of_form,
+    NegF, OccSubst, apply_occ_subst, as_iff, embed_bool, is_circular, mk_imp,
+    occurrences, parse_form, postorder, text_of_form,
 )
 
 __all__ = [
@@ -326,39 +325,30 @@ class SatOutcome:
     world: str | None = None
 
 
-@dataclass
-class _Branch:
-    pending: list[Form]
-    equivs: list[EquivLiteral] = field(default_factory=list)
-    constraints: list[BoolForm] = field(default_factory=list)
-    boxes: dict[str, list[Form]] = field(default_factory=dict)
-    diamonds: list[tuple[str, Form]] = field(default_factory=list)
+def _signature(formula: Form) -> tuple[list[Atom], list[str]]:
+    """The sorted atoms and agents of a query, in one walk.
 
-    def fork(self, extra: Form) -> "_Branch":
-        return _Branch(
-            self.pending + [extra],
-            list(self.equivs),
-            list(self.constraints),
-            {a: list(fs) for a, fs in self.boxes.items()},
-            list(self.diamonds),
-        )
-
-
-def _forbid_dynamic(formula: Form) -> None:
-    """Refuse the first announcement, `kd` or `:=` in reading order."""
+    Refuses the first announcement, `kd` or `:=` in reading order.
+    """
+    atoms: set[Atom] = set()
+    agents: set[str] = set()
     first: list = []  # per modal subformula: the first refused node in it, or None
     for g in postorder(formula):
         kind = type(g)
-        if kind is AnnF or kind is KdF or kind is DefIsF:
-            if kind is AnnF:
-                del first[-2:]  # an announcement comes before its operands
-            first.append(g)
+        if kind is Atom:
+            atoms.add(g)
         elif kind is AtomF or kind is EquivF:
             first.append(None)
         elif kind is AndF:
             right = first.pop()
             first[-1] = first[-1] or right
-        # NegF and BoxF keep their operand's entry; boolean nodes have none
+        elif kind is BoxF:
+            agents.add(g.agent)
+        elif kind is AnnF or kind is KdF or kind is DefIsF:
+            if kind is AnnF:
+                del first[-2:]  # an announcement comes before its operands
+            first.append(g)
+        # NegF keeps its operand's entry; boolean nodes have none
     refused = first[0]
     if type(refused) is AnnF:
         raise ValueError(f"satisfiable() handles the announcement-free fragment; "
@@ -366,47 +356,54 @@ def _forbid_dynamic(formula: Form) -> None:
     if refused is not None:
         op = "kd" if type(refused) is KdF else ":="
         raise ValueError(f"satisfiable() does not decide {op}; avoid {text_of_form(refused)}")
+    return sorted(atoms), sorted(agents)
 
 
-def _explore(branch: _Branch, world_id: str):
-    """Saturate one branch; return a world tree (id, seed, children) or None."""
-    while branch.pending:
-        f = branch.pending.pop()
+def _explore(pending: list[Form], literals: list[Form], world_id: str):
+    """Saturate one branch; return a world tree (id, closure, children) or None.
+
+    A branch is the stack of formulas still to expand and the literals found
+    so far, in order: atoms, equivalences and boxes, each possibly negated.
+    """
+    while pending:
+        f = pending.pop()
         match f:
-            case AtomF(a):
-                branch.constraints.append(a)
-            case NegF(AtomF(a)):
-                branch.constraints.append(Neg(a))
-            case EquivF(left, right):
-                branch.equivs.append(EquivLiteral(True, left, right))
-            case NegF(EquivF(left, right)):
-                branch.equivs.append(EquivLiteral(False, left, right))
-            case NegF(NegF(inner)):
-                branch.pending.append(inner)
+            case AtomF() | EquivF() | BoxF() | NegF(AtomF() | EquivF() | BoxF()):
+                literals.append(f)
             case AndF(left, right):
-                branch.pending.append(right)
-                branch.pending.append(left)
+                pending += (right, left)
+            case NegF(NegF(inner)):
+                pending.append(inner)
             case NegF(AndF(left, right)):
-                result = _explore(branch.fork(NegF(left)), world_id)
-                if result is not None:
-                    return result
-                return _explore(branch.fork(NegF(right)), world_id)
-            case BoxF(agent, inner):
-                branch.boxes.setdefault(agent, []).append(inner)
-            case NegF(BoxF(agent, inner)):
-                branch.diamonds.append((agent, NegF(inner)))
+                return (_explore(pending + [NegF(left)], list(literals), world_id)
+                        or _explore(pending + [NegF(right)], literals, world_id))
             case _:
                 raise TypeError(f"not a formula: {f!r}")
 
-    closure = literal_sat(branch.equivs, branch.constraints)
+    equivs: list[EquivLiteral] = []
+    constraints: list[BoolForm] = []
+    boxes: dict[str, list[Form]] = {}
+    diamonds: list[tuple[str, Form]] = []
+    for f in literals:
+        match f:
+            case AtomF(a):
+                constraints.append(a)
+            case NegF(AtomF(a)):
+                constraints.append(Neg(a))
+            case EquivF(left, right):
+                equivs.append(EquivLiteral(True, left, right))
+            case NegF(EquivF(left, right)):
+                equivs.append(EquivLiteral(False, left, right))
+            case BoxF(agent, inner):
+                boxes.setdefault(agent, []).append(inner)
+            case NegF(BoxF(agent, inner)):
+                diamonds.append((agent, NegF(inner)))
+    closure = literal_sat(equivs, constraints)
     if not closure.satisfiable:
         return None
     children = []
-    for index, (agent, seed_formula) in enumerate(branch.diamonds):
-        child = _explore(
-            _Branch([seed_formula] + list(branch.boxes.get(agent, []))),
-            f"{world_id}.{index}",
-        )
+    for index, (agent, seed_formula) in enumerate(diamonds):
+        child = _explore([seed_formula] + boxes.get(agent, []), [], f"{world_id}.{index}")
         if child is None:
             return None
         children.append((agent, child))
@@ -448,14 +445,14 @@ def satisfiable(formula: Form) -> SatOutcome:
     A sat verdict carries a finite tree model, already validated, with the
     query true at its actual world.
     """
-    _forbid_dynamic(formula)
-    tree = _explore(_Branch([formula]), "w0")
+    vocab, agents = _signature(formula)
+    tree = _explore([formula], [], "w0")
     if tree is None:
         return SatOutcome(False)
-    vocab = sorted(form_vocabulary(formula))
-    agents = sorted(form_agents(formula))
     model = _assemble(tree, vocab, agents)
-    if not evaluate(model, "w0", formula):
+    # the model is built on exactly the query's atoms and agents, so
+    # check_query cannot fail; the evaluation checks the tableau's answer
+    if not evaluate(model, "w0", formula, _checked=True):
         raise AssertionError(
             f"tableau produced a bad certificate for {text_of_form(formula)}")
     return SatOutcome(True, model, "w0")

@@ -1,12 +1,13 @@
 """Axiom recognition, proof verification, reduction, and the tableau."""
 
+import hashlib
 import random
 
 import pytest
 
 from paldef.checker import evaluate
 from paldef.definitions import DInput, EquivLiteral, literal_sat
-from paldef.models import Model, validate
+from paldef.models import Model, dumps, validate
 from paldef.proof import (
     ProofLine, ReductionError, TautologyBudgetError, is_axiom_instance,
     is_tautology, proof_from_json, proof_to_json, reduce_announcements,
@@ -262,11 +263,51 @@ class TestTableau:
         assert out.satisfiable
         assert evaluate(out.model, out.world, f)
 
-    def test_announcements_rejected(self):
-        with pytest.raises(ValueError):
-            satisfiable(parse_form("[p]q"))
-        with pytest.raises(ValueError):
-            satisfiable(parse_form("kd i p"))
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[p]q", "satisfiable() handles the announcement-free fragment; "
+                     "reduce or avoid [p] q", id="announcement"),
+        pytest.param("kd i p", "satisfiable() does not decide kd; avoid kd i p", id="kd"),
+        pytest.param("p & [q] kd i r", "satisfiable() handles the announcement-free "
+                     "fragment; reduce or avoid [q] kd i r", id="announcement-before-kd"),
+        pytest.param("kd i p & (q := r)", "satisfiable() does not decide kd; avoid kd i p",
+                     id="kd-before-defis"),
+        pytest.param("~box i (p := q) | [p] q", "satisfiable() does not decide :=; "
+                     "avoid (p := q)", id="defis-before-announcement"),
+        pytest.param("box j ([p] q) & kd i r", "satisfiable() handles the announcement-free "
+                     "fragment; reduce or avoid [p] q", id="boxed-announcement-before-kd"),
+    ])
+    def test_refusal_names_the_first_operator_in_reading_order(self, text, message):
+        with pytest.raises(ValueError) as info:
+            satisfiable(parse_form(text))
+        assert str(info.value) == message
+
+    # sha256 over, for each input, the certificate's model file, "unsat", or
+    # the refusal message
+    CERTIFICATE_DIGEST = "b6025a24956a4517ed8258820e7a90e326b704819613bb277b83d2f59718e096"
+
+    def test_certificate_corpus_is_unchanged(self):
+        rng = random.Random(47)
+        forms = [random_form(rng, (p, q, r), ("i", "j"), rng.randint(0, 3),
+                             allow_ann=dynamic, allow_kd=dynamic)
+                 for dynamic in (True, False) for _ in range(2000)]
+        forms += [parse_form(" & ".join(f"(box i p{k} | ~box i (p{k} == q{k}))"
+                                        for k in range(n)) + " & ~box i p0")
+                  for n in range(2, 7)]
+        h = hashlib.sha256()
+        counts = [0, 0, 0]  # sat, unsat, refused
+        for f in forms:
+            try:
+                out = satisfiable(f)
+            except ValueError as e:
+                h.update(f"{e}\n".encode())
+                counts[2] += 1
+                continue
+            h.update(f"{dumps(out.model) if out.satisfiable else 'unsat'}\n".encode())
+            counts[not out.satisfiable] += 1
+        assert counts == [2707, 491, 807]
+        assert h.hexdigest() == self.CERTIFICATE_DIGEST, (
+            "a certificate, verdict or refusal changed; a deliberate change to "
+            "the tableau updates CERTIFICATE_DIGEST and says so in CHANGES.md")
 
     def test_agreement_with_bounded_oracle_sample(self):
         oracle = Depth1Oracle()
