@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from paldef.checker import _subformulas
 from paldef.definitions import DefState, EquivLiteral, literal_sat
 from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
@@ -471,3 +472,32 @@ class TestParseDigest:
         assert h.hexdigest() == self.DIGEST, (
             "the parser accepts another language or builds other trees; a "
             "deliberate change to the language updates DIGEST and says so in CHANGES.md")
+
+
+class TestPrintDigest:
+    # sha256 over each text of the parse corpus and, where it parses, the
+    # printed text of its parse_form tree, of every modal subformula that
+    # checker._subformulas lists for it, and of its parse_bool tree through
+    # text_of_bool and str; recorded before the two formula layers shared
+    # one node family
+    DIGEST = "9665476126d7424a923d9b54285085b8060e1a5e03fa43380ce27eb37f204ef0"
+
+    def test_printed_texts_are_unchanged(self):
+        h = hashlib.sha256()
+        for text in _parse_corpus():
+            h.update(text.encode() + b"\n")
+            try:
+                f = parse_form(text)
+            except ParseError:
+                h.update(b"ParseError\n")
+            else:
+                for g in [f] + _subformulas(f):
+                    h.update(text_of_form(g).encode() + b"\n")
+            try:
+                P = parse_bool(text)
+            except ParseError:
+                h.update(b"ParseError\n")
+            else:
+                h.update(f"{text_of_bool(P)}|{P}\n".encode())
+        assert h.hexdigest() == self.DIGEST, (
+            "a printed text changed; the printer must print every tree as before")
