@@ -8,10 +8,10 @@ tableau satisfiability for the announcement-free fragment.
 """
 
 from .syntax import (
-    And, AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF,
-    Neg, NegF, OccSubst, ParseError, apply_occ_subst, apply_simultaneous,
-    is_circular, length, lex_compare, lex_key, occurrences, parse_bool,
-    parse_form, text_of_bool, text_of_form, vocabulary,
+    And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
+    ParseError, apply_occ_subst, apply_simultaneous, is_circular, length,
+    lex_compare, lex_key, occurrences, parse_bool, parse_form, text_of_bool,
+    text_of_form, vocabulary,
 )
 from .definitions import (
     CircularityDetected, CircularWitness, DefState, EquivLiteral, PatternClash,

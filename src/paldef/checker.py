@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .models import Model, restrict, unravel
 from .syntax import (
-    AndF, AnnF, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, NegF,
-    form_agents, form_vocabulary, postorder,
+    And, AnnF, Atom, BoxF, DefIsF, EquivF, Form, KdF, Neg, form_agents,
+    form_vocabulary,
 )
 
 __all__ = ["evaluate", "eval_global", "extension_table", "check_query"]
@@ -40,13 +40,13 @@ def evaluate(model: Model, world: str, formula: Form, _checked: bool = False) ->
     if not _checked:
         check_query(model, world, formula)
     match formula:
-        case AtomF(a):
-            return model.valuation[world][a]
+        case Atom():
+            return model.valuation[world][formula]
         case EquivF(left, right):
             return unravel(model, world, left) == unravel(model, world, right)
-        case NegF(inner):
+        case Neg(inner):
             return not evaluate(model, world, inner, _checked=True)
-        case AndF(left, right):
+        case And(left, right):
             return (evaluate(model, world, left, _checked=True)
                     and evaluate(model, world, right, _checked=True))
         case BoxF(agent, inner):
@@ -77,8 +77,21 @@ def eval_global(model: Model, formula: Form, _checked: bool = False) -> list[str
 
 
 def _subformulas(formula: Form) -> list[Form]:
-    """The modal-layer subformulas, innermost first, each once."""
-    return list(dict.fromkeys(g for g in postorder(formula) if not isinstance(g, BoolForm)))
+    """The modal-layer subformulas, innermost first, each once: the nodes of
+    the formula outside the boolean operands of `==`, `kd` and `:=`."""
+    out = []
+    todo = [formula]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        kind = type(g)
+        if kind is Neg or kind is BoxF:
+            todo.append(g.inner)
+        elif kind is And:
+            todo += (g.left, g.right)
+        elif kind is AnnF:
+            todo += (g.announced, g.inner)
+    return list(dict.fromkeys(reversed(out)))
 
 
 def extension_table(model: Model, formula: Form) -> list[tuple[Form, list[str]]]:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import checker, models, proof
 from .definitions import DInput, literal_sat, parse_literal_lines
-from .syntax import Form, NegF, ParseError, parse_form, text_of_form
+from .syntax import Form, Neg, ParseError, parse_form, text_of_form
 
 PROG = "paldef"
 
@@ -59,7 +59,7 @@ def _load_model(path: str) -> models.Model:
 
 
 def _world_of(model: models.Model, args) -> str:
-    world = getattr(args, "world", None) or model.actual
+    world = model.actual if args.world is None else args.world
     if world is None:
         raise _Failure("model has no actual world; pass --world")
     return world
@@ -118,7 +118,7 @@ def cmd_sat(args):
 def cmd_valid(args):
     formula = _read_formula(args)
     reduced = proof.reduce_announcements(formula)
-    refutation = proof.satisfiable(NegF(reduced))
+    refutation = proof.satisfiable(Neg(reduced))
     if not refutation.satisfiable:
         return 0, "valid", {}, ["valid"]
     details = {"countermodel": models.premodel_to_dict(refutation.model),

@@ -23,9 +23,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, Atom, BoolForm, Neg, NegF, EquivF, OccSubst, apply_occ_subst,
-    is_circular, leaves, length, lex_key, parse_form, project_bool, substitute,
-    text_of_bool, vocabulary,
+    And, Atom, BoolForm, Neg, EquivF, OccSubst, apply_occ_subst, is_circular,
+    leaves, length, lex_key, parse_form, postorder, substitute, text_of_bool,
+    vocabulary,
 )
 from .models import truth
 
@@ -655,13 +655,12 @@ def parse_literal_lines(text: str) -> tuple[list[EquivLiteral], list[BoolForm]]:
         match f:
             case EquivF(left, right):
                 equivs.append(EquivLiteral(True, left, right))
-            case NegF(EquivF(left, right)):
+            case Neg(EquivF(left, right)):
                 equivs.append(EquivLiteral(False, left, right))
             case _:
-                P = project_bool(f)
-                if P is None:
+                if any(type(g) not in (Atom, Neg, And) for g in postorder(f)):
                     raise ValueError(
                         f"line {lineno}: expected P == Q, P != Q, or a boolean formula"
                     )
-                constraints.append(P)
+                constraints.append(f)
     return equivs, constraints

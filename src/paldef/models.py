@@ -17,8 +17,8 @@ restricted model's index from its parent's instead of scanning relations.
 The module also holds the propositional core that the decision procedures
 share.  `truth` evaluates a boolean formula under a dict valuation.  `Cnf`
 encodes skeletons into clauses: one variable per distinct leaf, one per
-conjunction node, and negation flips the literal.  It reads both layers'
-connectives (`Neg`/`And` and `NegF`/`AndF`); any other node is a leaf.
+conjunction node, and negation flips the literal.  It reads the `~`/`&`
+skeleton of a formula of either layer; any other node is a leaf.
 `first_model` is the Davis-Logemann-Loveland search (CACM 5(7), 1962): unit
 propagation plus chronological branching, in a given variable order, False
 first, so the model it returns is the least one in that order.
@@ -33,8 +33,8 @@ from itertools import repeat
 from pathlib import Path
 
 from .syntax import (
-    And, AndF, Atom, BoolForm, Neg, NegF, parse_bool, postorder, substitute,
-    text_of_bool, vocabulary,
+    And, Atom, BoolForm, Neg, parse_bool, postorder, substitute, text_of_bool,
+    vocabulary,
 )
 
 __all__ = [
@@ -201,9 +201,9 @@ class Cnf:
 
     def literal(self, f) -> int:
         """Literal equivalent to f; conjunctions get a gate variable."""
-        if isinstance(f, (Neg, NegF)):
+        if type(f) is Neg:
             return -self.literal(f.inner)
-        if isinstance(f, (And, AndF)):
+        if type(f) is And:
             a, b = self.literal(f.left), self.literal(f.right)
             self.size += 1
             g = self.size

@@ -25,9 +25,9 @@ from .definitions import (
 )
 from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
-    AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg,
-    NegF, OccSubst, apply_occ_subst, as_iff, embed_bool, is_circular, mk_imp,
-    occurrences, parse_form, postorder, text_of_form,
+    And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
+    apply_occ_subst, as_iff, is_circular, mk_imp, occurrences, parse_form,
+    postorder, text_of_form,
 )
 
 __all__ = [
@@ -70,9 +70,9 @@ def is_tautology(formula: Form) -> bool:
 # Each law is written once, as schema text.  Every name in a schema is a
 # metavariable: `p` is any atom, the agent `a` is any agent, and any other
 # letter is any formula of its layer.  A letter used in both layers (the x and
-# y of `equivalence`) is a boolean formula in one and its embedding in the
-# other.  The table serves the verifier, announcement reduction and the
-# circularity proofs alike; its order fixes which name a formula gets first.
+# y of `equivalence`) is one boolean formula in both.  The table serves the
+# verifier, announcement reduction and the circularity proofs alike; its
+# order fixes which name a formula gets first.
 
 _SCHEMA_TEXTS = [
     ("K", "box a (x -> y) -> (box a x -> box a y)"),
@@ -107,26 +107,16 @@ AXIOM_NAMES = tuple(_SCHEMAS) + ("taut",)
 
 def _bind(name: str, value, env: dict) -> bool:
     """Bind the metavariable name to value, or check value against its binding."""
-    if name == "p" and not isinstance(value, Atom | AtomF):
+    if name == "p" and type(value) is not Atom:
         return False
-    if name not in env:
-        env[name] = value
-        return True
-    bound = env[name]
-    if isinstance(bound, BoolForm) and not isinstance(value, BoolForm):
-        bound = embed_bool(bound)
-    elif isinstance(value, BoolForm) and not isinstance(bound, BoolForm):
-        value = embed_bool(value)
-    return bound == value
+    return env.setdefault(name, value) == value
 
 
 def _match(schema, f, env: dict) -> bool:
     """Whether f instantiates schema under env, extending env as it goes."""
     match schema:
-        case Atom(name) | AtomF(Atom(name)):
+        case Atom(name) | str(name):
             return _bind(name, f, env)
-        case str():
-            return _bind(schema, f, env)
     return type(schema) is type(f) and all(
         _match(getattr(schema, k), getattr(f, k), env) for k in schema.__match_args__)
 
@@ -140,9 +130,6 @@ def _instance(schema, env: dict, push: bool = False):
     match schema:
         case Atom(name) | str(name):
             return env[name]
-        case AtomF(Atom(name)):
-            value = env[name]
-            return embed_bool(value) if isinstance(value, BoolForm) else value
         case AnnF(announced, inner) if push:
             return _push(_instance(announced, env, True), _instance(inner, env, True))
     return type(schema)(*[_instance(getattr(schema, k), env, push)
@@ -278,12 +265,12 @@ class ReductionError(ValueError):
 def reduce_announcements(formula: Form) -> Form:
     """Equivalent announcement-free formula via the reduction laws."""
     match formula:
-        case AtomF() | EquivF() | KdF() | DefIsF():
+        case Atom() | EquivF() | KdF() | DefIsF():
             return formula
-        case NegF(inner):
-            return NegF(reduce_announcements(inner))
-        case AndF(left, right):
-            return AndF(reduce_announcements(left), reduce_announcements(right))
+        case Neg(inner):
+            return Neg(reduce_announcements(inner))
+        case And(left, right):
+            return And(reduce_announcements(left), reduce_announcements(right))
         case BoxF(agent, inner):
             return BoxF(agent, reduce_announcements(inner))
         case AnnF(announced, inner):
@@ -332,23 +319,22 @@ def _signature(formula: Form) -> tuple[list[Atom], list[str]]:
     """
     atoms: set[Atom] = set()
     agents: set[str] = set()
-    first: list = []  # per modal subformula: the first refused node in it, or None
+    first: list = []  # per subformula: the first refused node in it, or None
     for g in postorder(formula):
         kind = type(g)
         if kind is Atom:
             atoms.add(g)
-        elif kind is AtomF or kind is EquivF:
             first.append(None)
-        elif kind is AndF:
+        elif kind is And or kind is EquivF:
             right = first.pop()
             first[-1] = first[-1] or right
         elif kind is BoxF:
             agents.add(g.agent)
         elif kind is AnnF or kind is KdF or kind is DefIsF:
-            if kind is AnnF:
-                del first[-2:]  # an announcement comes before its operands
-            first.append(g)
-        # NegF keeps its operand's entry; boolean nodes have none
+            if kind is not KdF:
+                first.pop()
+            first[-1] = g  # a node comes before its operands
+        # Neg keeps its operand's entry
     refused = first[0]
     if type(refused) is AnnF:
         raise ValueError(f"satisfiable() handles the announcement-free fragment; "
@@ -368,15 +354,15 @@ def _explore(pending: list[Form], literals: list[Form], world_id: str):
     while pending:
         f = pending.pop()
         match f:
-            case AtomF() | EquivF() | BoxF() | NegF(AtomF() | EquivF() | BoxF()):
+            case Atom() | EquivF() | BoxF() | Neg(Atom() | EquivF() | BoxF()):
                 literals.append(f)
-            case AndF(left, right):
+            case And(left, right):
                 pending += (right, left)
-            case NegF(NegF(inner)):
+            case Neg(Neg(inner)):
                 pending.append(inner)
-            case NegF(AndF(left, right)):
-                return (_explore(pending + [NegF(left)], list(literals), world_id)
-                        or _explore(pending + [NegF(right)], literals, world_id))
+            case Neg(And(left, right)):
+                return (_explore(pending + [Neg(left)], list(literals), world_id)
+                        or _explore(pending + [Neg(right)], literals, world_id))
             case _:
                 raise TypeError(f"not a formula: {f!r}")
 
@@ -386,18 +372,16 @@ def _explore(pending: list[Form], literals: list[Form], world_id: str):
     diamonds: list[tuple[str, Form]] = []
     for f in literals:
         match f:
-            case AtomF(a):
-                constraints.append(a)
-            case NegF(AtomF(a)):
-                constraints.append(Neg(a))
+            case Atom() | Neg(Atom()):
+                constraints.append(f)
             case EquivF(left, right):
                 equivs.append(EquivLiteral(True, left, right))
-            case NegF(EquivF(left, right)):
+            case Neg(EquivF(left, right)):
                 equivs.append(EquivLiteral(False, left, right))
             case BoxF(agent, inner):
                 boxes.setdefault(agent, []).append(inner)
-            case NegF(BoxF(agent, inner)):
-                diamonds.append((agent, NegF(inner)))
+            case Neg(BoxF(agent, inner)):
+                diamonds.append((agent, Neg(inner)))
     closure = literal_sat(equivs, constraints)
     if not closure.satisfiable:
         return None
@@ -460,7 +444,7 @@ def satisfiable(formula: Form) -> SatOutcome:
 
 def valid(formula: Form) -> bool:
     """Validity via reduction and refutation of the negation."""
-    return not satisfiable(NegF(reduce_announcements(formula))).satisfiable
+    return not satisfiable(Neg(reduce_announcements(formula))).satisfiable
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +453,7 @@ def valid(formula: Form) -> bool:
 def _conjoin(forms: list[Form]) -> Form:
     result = forms[-1]
     for f in reversed(forms[:-1]):
-        result = AndF(f, result)
+        result = And(f, result)
     return result
 
 
@@ -554,7 +538,7 @@ def witness_to_proof(witness: CircularWitness, premises) -> list[ProofLine]:
 
     non_circ = add(_axiom("non-circularity", p=atom, x=rhs), "axiom")
     flip = add(mk_imp(mk_imp(big_c, current),
-                      mk_imp(NegF(current), NegF(big_c))), "taut")
-    s = add(mk_imp(NegF(current), NegF(big_c)), "mp", (line_current, flip))
-    add(NegF(big_c), "mp", (non_circ, s))
+                      mk_imp(Neg(current), Neg(big_c))), "taut")
+    s = add(mk_imp(Neg(current), Neg(big_c)), "mp", (line_current, flip))
+    add(Neg(big_c), "mp", (non_circ, s))
     return lines

@@ -11,8 +11,8 @@ from functools import lru_cache
 
 from paldef.models import Model, Premodel, eval_bool, unravel, validate
 from paldef.syntax import (
-    And, AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF,
-    Neg, NegF, OccSubst, apply_occ_subst, length, occurrences, vocabulary,
+    And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
+    apply_occ_subst, length, occurrences, vocabulary,
 )
 
 ATOMS = tuple(Atom(n) for n in ("p", "q", "r", "s"))
@@ -64,13 +64,13 @@ def random_form(rng, atoms, agents, depth: int, *, allow_ann=False,
                            allow_kd=allow_kd, bool_len=bool_len)
 
     if kind == "atom":
-        return AtomF(rng.choice(atoms))
+        return rng.choice(atoms)
     if kind == "equiv":
         return EquivF(random_bool(rng, atoms, bool_len), random_bool(rng, atoms, bool_len))
     if kind == "neg":
-        return NegF(sub())
+        return Neg(sub())
     if kind == "and":
-        return AndF(sub(), sub())
+        return And(sub(), sub())
     if kind == "box":
         return BoxF(rng.choice(agents), sub())
     if kind == "ann":
@@ -93,13 +93,13 @@ def bool_nodes(P: BoolForm) -> int:
 def form_nodes(f: Form) -> int:
     """Tree size counting both layers' constructors."""
     match f:
-        case AtomF():
+        case Atom():
             return 1
         case EquivF(left, right):
             return 1 + bool_nodes(left) + bool_nodes(right)
-        case NegF(inner) | BoxF(_, inner):
+        case Neg(inner) | BoxF(_, inner):
             return 1 + form_nodes(inner)
-        case AndF(left, right) | AnnF(left, right):
+        case And(left, right) | AnnF(left, right):
             return 1 + form_nodes(left) + form_nodes(right)
         case KdF(_, body):
             return 1 + bool_nodes(body)
@@ -110,9 +110,9 @@ def form_nodes(f: Form) -> int:
 
 def modal_depth(f: Form) -> int:
     match f:
-        case NegF(inner):
+        case Neg(inner):
             return modal_depth(inner)
-        case AndF(left, right) | AnnF(left, right):
+        case And(left, right) | AnnF(left, right):
             return max(modal_depth(left), modal_depth(right))
         case BoxF(_, inner):
             return 1 + modal_depth(inner)
@@ -146,9 +146,9 @@ def truth_table_models(constraints, atoms):
 
 def _skeleton_leaves(f: Form, out: dict) -> None:
     match f:
-        case NegF(inner):
+        case Neg(inner):
             _skeleton_leaves(inner, out)
-        case AndF(left, right):
+        case And(left, right):
             _skeleton_leaves(left, out)
             _skeleton_leaves(right, out)
         case _:
@@ -157,9 +157,9 @@ def _skeleton_leaves(f: Form, out: dict) -> None:
 
 def _skeleton_value(f: Form, vals: dict) -> bool:
     match f:
-        case NegF(inner):
+        case Neg(inner):
             return not _skeleton_value(inner, vals)
-        case AndF(left, right):
+        case And(left, right):
             return _skeleton_value(left, vals) and _skeleton_value(right, vals)
         case _:
             return vals[f]
@@ -477,13 +477,13 @@ class Depth1Oracle:
             return self._truth_cache[key]
         table, vals = self.configs[idx]
         match f:
-            case AtomF(a):
-                value = vals[a]
+            case Atom():
+                value = vals[f]
             case EquivF(left, right):
                 value = self._unravel(table, left) == self._unravel(table, right)
-            case NegF(inner):
+            case Neg(inner):
                 value = not self.truth0(idx, inner)
-            case AndF(left, right):
+            case And(left, right):
                 value = self.truth0(idx, left) and self.truth0(idx, right)
             case _:
                 raise TypeError(f"not depth-0: {f!r}")
@@ -502,11 +502,11 @@ class Depth1Oracle:
     def _root_vector(self, f: Form, succ_mask: int, loop: bool, every: int) -> int:
         """Bitmask of root configurations where f holds, for fixed successors."""
         match f:
-            case AtomF() | EquivF():
+            case Atom() | EquivF():
                 return self.mask(f)
-            case NegF(inner):
+            case Neg(inner):
                 return every & ~self._root_vector(inner, succ_mask, loop, every)
-            case AndF(left, right):
+            case And(left, right):
                 return (self._root_vector(left, succ_mask, loop, every)
                         & self._root_vector(right, succ_mask, loop, every))
             case BoxF(_, inner):
@@ -533,13 +533,13 @@ class Depth1Oracle:
 
 def form_length(f: Form) -> int:
     match f:
-        case AtomF():
+        case Atom():
             return 1
         case EquivF(left, right):
             return length(left) + length(right) + 3
-        case NegF(inner):
+        case Neg(inner):
             return form_length(inner) + 1
-        case AndF(left, right) | AnnF(left, right):
+        case And(left, right) | AnnF(left, right):
             return form_length(left) + form_length(right) + 3
         case BoxF(_, inner):
             return form_length(inner) + 2
@@ -558,12 +558,12 @@ def enumerate_depth1_forms(atoms, agent: str, max_len: int) -> list[Form]:
     def build(box_source: list[list[Form]] | None) -> list[list[Form]]:
         table: list[list[Form]] = [[] for _ in range(max_len + 1)]
         if max_len >= 1:
-            table[1] = [AtomF(a) for a in atoms]
+            table[1] = list(atoms)
         for l in range(2, max_len + 1):
-            row = [NegF(f) for f in table[l - 1]]
+            row = [Neg(f) for f in table[l - 1]]
             for i in range(1, l - 3):
                 j = l - 3 - i
-                row += [AndF(a, b) for a in table[i] for b in table[j]]
+                row += [And(a, b) for a in table[i] for b in table[j]]
                 if i < len(bools) and j < len(bools):
                     row += [EquivF(a, b) for a in bools[i] for b in bools[j]]
             if box_source is not None and l - 2 >= 1:

@@ -21,10 +21,9 @@ from paldef.proof import (
     witness_to_proof,
 )
 from paldef.syntax import (
-    And, AndF, AnnF, Atom, AtomF, BoolForm, BoxF, DefIsF, EquivF, Form, KdF,
-    Neg, NegF, OccSubst, apply_occ_subst, apply_simultaneous, embed_bool,
-    is_circular, length, mk_iff, mk_imp, occurrences, parse_bool, parse_form,
-    text_of_form, vocabulary,
+    And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
+    apply_occ_subst, apply_simultaneous, is_circular, length, mk_iff, mk_imp,
+    occurrences, parse_bool, parse_form, text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -75,7 +74,7 @@ def test_criterion_01_figure_fixtures(figs):
         for world, text in assertions:
             f = parse_form(text)
             assert evaluate(model, world, f), (name, world, text)
-            assert not evaluate(model, world, NegF(f)), (name, world, text)
+            assert not evaluate(model, world, Neg(f)), (name, world, text)
     # announcement mechanics behind the fig1 claim
     assert eval_global(figs["fig1"], parse_form("p <-> q")) == ["left", "middle"]
     _report("CRITERION 1 (figure fixtures)")
@@ -122,13 +121,13 @@ def test_criterion_03_circularity_pipeline():
 def _taut_templates():
     return [
         lambda a, b: mk_imp(a, a),
-        lambda a, b: NegF(AndF(a, NegF(a))),
-        lambda a, b: mk_imp(AndF(a, b), a),
-        lambda a, b: mk_imp(AndF(a, b), b),
+        lambda a, b: Neg(And(a, Neg(a))),
+        lambda a, b: mk_imp(And(a, b), a),
+        lambda a, b: mk_imp(And(a, b), b),
         lambda a, b: mk_imp(a, mk_imp(b, a)),
-        lambda a, b: mk_imp(AndF(mk_imp(a, b), a), b),
-        lambda a, b: mk_iff(NegF(NegF(a)), a),
-        lambda a, b: mk_iff(NegF(AndF(a, b)), NegF(AndF(b, a))),
+        lambda a, b: mk_imp(And(mk_imp(a, b), a), b),
+        lambda a, b: mk_iff(Neg(Neg(a)), a),
+        lambda a, b: mk_iff(Neg(And(a, b)), Neg(And(b, a))),
     ]
 
 
@@ -145,18 +144,18 @@ def _schema_instance(rng, name, atoms, agents) -> Form:
         return mk_imp(BoxF(agent, mk_imp(a, b)),
                       mk_imp(BoxF(agent, a), BoxF(agent, b)))
     if name == "reduction-atom":
-        ann, body = ff(), AtomF(rng.choice(atoms))
+        ann, body = ff(), rng.choice(atoms)
         return mk_iff(AnnF(ann, body), mk_imp(ann, body))
     if name == "reduction-equiv":
         ann, body = ff(), EquivF(bf(), bf())
         return mk_iff(AnnF(ann, body), mk_imp(ann, body))
     if name == "reduction-neg":
         ann, inner = ff(), ff()
-        return mk_iff(AnnF(ann, NegF(inner)),
-                      mk_imp(ann, NegF(AnnF(ann, inner))))
+        return mk_iff(AnnF(ann, Neg(inner)),
+                      mk_imp(ann, Neg(AnnF(ann, inner))))
     if name == "reduction-and":
         ann, x, y = ff(), ff(), ff()
-        return mk_iff(AnnF(ann, AndF(x, y)), AndF(AnnF(ann, x), AnnF(ann, y)))
+        return mk_iff(AnnF(ann, And(x, y)), And(AnnF(ann, x), AnnF(ann, y)))
     if name == "reduction-box":
         ann, inner = ff(), ff()
         return mk_iff(AnnF(ann, BoxF(agent, inner)),
@@ -164,7 +163,7 @@ def _schema_instance(rng, name, atoms, agents) -> Form:
     if name == "reduction-comp":
         ann, second, body = ff(), ff(), ff()
         return mk_iff(AnnF(ann, AnnF(second, body)),
-                      AnnF(AndF(ann, AnnF(ann, second)), body))
+                      AnnF(And(ann, AnnF(ann, second)), body))
     if name == "reflexivity":
         a = bf()
         return EquivF(a, a)
@@ -173,10 +172,10 @@ def _schema_instance(rng, name, atoms, agents) -> Form:
         return mk_imp(EquivF(a, b), EquivF(b, a))
     if name == "transitivity":
         a, b, c = bf(), bf(), bf()
-        return mk_imp(AndF(EquivF(a, b), EquivF(b, c)), EquivF(a, c))
+        return mk_imp(And(EquivF(a, b), EquivF(b, c)), EquivF(a, c))
     if name == "equivalence":
         a, b = bf(), bf()
-        return mk_imp(EquivF(a, b), mk_iff(embed_bool(a), embed_bool(b)))
+        return mk_imp(EquivF(a, b), mk_iff(a, b))
     if name == "occurrence-substitution":
         atom = rng.choice(atoms)
         while True:
@@ -185,7 +184,7 @@ def _schema_instance(rng, name, atoms, agents) -> Form:
                 break
         k = rng.randint(1, occurrences(atom, target))
         image, lhs = bf(), bf()
-        return mk_imp(AndF(EquivF(atom, image), EquivF(lhs, target)),
+        return mk_imp(And(EquivF(atom, image), EquivF(lhs, target)),
                       EquivF(lhs, apply_occ_subst(OccSubst(k, atom, image), target)))
     if name == "pattern-neg":
         a, b = bf(), bf()
@@ -193,16 +192,16 @@ def _schema_instance(rng, name, atoms, agents) -> Form:
     if name == "pattern-and":
         a, b, c, d = bf(), bf(), bf(), bf()
         return mk_iff(EquivF(And(a, b), And(c, d)),
-                      AndF(EquivF(a, c), EquivF(b, d)))
+                      And(EquivF(a, c), EquivF(b, d)))
     if name == "pattern-mismatch":
-        return NegF(EquivF(Neg(bf()), And(bf(), bf())))
+        return Neg(EquivF(Neg(bf()), And(bf(), bf())))
     if name == "non-circularity":
         atom = rng.choice(atoms)
         while True:
             body = bf(9)
             if atom in vocabulary(body) and body != atom:
                 break
-        return NegF(EquivF(atom, body))
+        return Neg(EquivF(atom, body))
     if name == "taut":
         template = rng.choice(_taut_templates())
         return template(ff(), ff())
@@ -324,13 +323,13 @@ def _definition_validity_instances(pool, rng, bullet):
             elif bullet == 2:
                 if body == other:
                     continue
-                yield model, agent, DefIsF(atom, body), NegF(DefIsF(atom, other))
+                yield model, agent, DefIsF(atom, body), Neg(DefIsF(atom, other))
             elif bullet == 3:
-                yield (model, agent, AndF(DefIsF(atom, body), KdF(agent, atom)),
+                yield (model, agent, And(DefIsF(atom, body), KdF(agent, atom)),
                        BoxF(agent, DefIsF(atom, body)))
             else:
                 yield (model, agent,
-                       AndF(KdF(agent, body), BoxF(agent, EquivF(body, other))),
+                       And(KdF(agent, body), BoxF(agent, EquivF(body, other))),
                        KdF(agent, other))
 
 

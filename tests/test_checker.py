@@ -7,7 +7,7 @@ import pytest
 from paldef.checker import eval_global, evaluate, extension_table
 from paldef.models import Premodel, fixture_names, fixture_path, load, validate
 from paldef.syntax import (
-    Atom, EquivF, embed_bool, mk_iff, mk_imp, parse_form, text_of_form,
+    Atom, EquivF, mk_iff, mk_imp, parse_form, text_of_form,
 )
 
 from helpers import model_pool, random_bool
@@ -105,7 +105,7 @@ class TestEquivalenceBehaviour:
             for _ in range(10):
                 a = random_bool(rng, m.vocabulary, 5)
                 b = random_bool(rng, m.vocabulary, 5)
-                f = mk_imp(EquivF(a, b), mk_iff(embed_bool(a), embed_bool(b)))
+                f = mk_imp(EquivF(a, b), mk_iff(a, b))
                 for w in m.worlds:
                     assert evaluate(m, w, f)
 

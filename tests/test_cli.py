@@ -41,6 +41,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", "fig1.json", "p", "--world", "nowhere")
         assert code == 2 and "error" in err
 
+    def test_empty_world_is_not_the_actual_world(self, capsys):
+        code, out, _ = run(capsys, "--machine", "check", "fig1.json", "box i p", "--world", "")
+        assert code == 2
+        assert json.loads(out)["details"] == {"message": "unknown world ''"}
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "check", "fig1.json", "p & ")
         assert code == 2 and "error" in err

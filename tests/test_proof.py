@@ -14,9 +14,8 @@ from paldef.proof import (
     satisfiable, valid, verify_proof, witness_to_proof,
 )
 from paldef.syntax import (
-    And, AndF, AnnF, Atom, AtomF, BoxF, DefIsF, EquivF, KdF, Neg, NegF,
-    OccSubst, apply_occ_subst, mk_imp, mk_or, occurrences, parse_form,
-    text_of_form,
+    And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, apply_occ_subst,
+    mk_imp, mk_or, occurrences, parse_form, text_of_form,
 )
 
 from helpers import (
@@ -25,7 +24,6 @@ from helpers import (
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
-P, Q, R, S = AtomF(p), AtomF(q), AtomF(r), AtomF(s)
 
 
 class TestTautology:
@@ -39,9 +37,9 @@ class TestTautology:
         assert not is_tautology(parse_form("(p == q) -> (q == p)"))
 
     def test_budget_guard(self):
-        f = AtomF(Atom("x0"))
+        f = Atom("x0")
         for k in range(1, 21):
-            f = AndF(f, AtomF(Atom(f"x{k}")))
+            f = And(f, Atom(f"x{k}"))
         g = mk_imp(f, f)
         with pytest.raises(TautologyBudgetError):
             is_tautology(g)
@@ -55,16 +53,16 @@ class TestTautology:
 
     def test_agrees_with_truth_table(self):
         rng = random.Random(4004)
-        pool = [P, Q, R, S, BoxF("i", P), BoxF("j", NegF(Q)), EquivF(p, q),
-                EquivF(q, p), EquivF(Neg(p), And(q, r)), AnnF(P, Q), KdF("i", p),
-                DefIsF(q, Neg(r)), BoxF("i", AndF(P, Q)), AnnF(R, BoxF("j", S))]
+        pool = [p, q, r, s, BoxF("i", p), BoxF("j", Neg(q)), EquivF(p, q),
+                EquivF(q, p), EquivF(Neg(p), And(q, r)), AnnF(p, q), KdF("i", p),
+                DefIsF(q, Neg(r)), BoxF("i", And(p, q)), AnnF(r, BoxF("j", s))]
 
         def tree(depth, leaves):
             if depth == 0 or rng.random() < 0.2:
                 return rng.choice(leaves)
             if rng.random() < 0.35:
-                return NegF(tree(depth - 1, leaves))
-            return AndF(tree(depth - 1, leaves), tree(depth - 1, leaves))
+                return Neg(tree(depth - 1, leaves))
+            return And(tree(depth - 1, leaves), tree(depth - 1, leaves))
 
         verdicts = []
         for _ in range(400):
@@ -72,7 +70,7 @@ class TestTautology:
             f = tree(rng.randint(1, 7), leaves)
             if rng.random() < 0.3:
                 g = tree(3, leaves)
-                f = mk_imp(AndF(f, g), mk_or(tree(3, leaves), f))
+                f = mk_imp(And(f, g), mk_or(tree(3, leaves), f))
             assert skeleton_leaf_count(f) <= 12
             verdict = is_tautology(f)
             assert verdict == truth_table_tautology(f), text_of_form(f)
@@ -142,7 +140,7 @@ class TestAxiomInstances:
             image = random_bool(rng, (p, q, r), 5)
             rewritten = apply_occ_subst(OccSubst(k, atom, image), target)
             lhs = random_bool(rng, (p, q, r), 5)
-            f = mk_imp(AndF(EquivF(atom, image), EquivF(lhs, target)),
+            f = mk_imp(And(EquivF(atom, image), EquivF(lhs, target)),
                        EquivF(lhs, rewritten))
             assert is_axiom_instance(f) == "occurrence-substitution"
             hits += 1
@@ -222,7 +220,7 @@ class TestReduce:
 
     def test_kd_outside_announcements_untouched(self):
         f = parse_form("kd i p & [q]r")
-        assert reduce_announcements(f) == AndF(
+        assert reduce_announcements(f) == And(
             parse_form("kd i p"), parse_form("(q -> r)"))
 
     def test_reduction_preserves_meaning(self):
@@ -366,9 +364,9 @@ class TestWitnessProofs:
         assert res.reason == "circular"
         proof = witness_to_proof(res.witness, lits)
         assert verify_proof(proof).ok
-        assert proof[-1].formula == NegF(
-            AndF(EquivF(p, And(q, r)),
-                 AndF(EquivF(q, And(p, r)), EquivF(s, p))))
+        assert proof[-1].formula == Neg(
+            And(EquivF(p, And(q, r)),
+                 And(EquivF(q, And(p, r)), EquivF(s, p))))
 
     def test_corrupted_witness_proofs_are_rejected(self):
         lits = [EquivLiteral(True, p, And(q, r)),
@@ -383,7 +381,7 @@ class TestWitnessProofs:
                 assert not verify_proof(swapped).ok
             if line.rule == "axiom":
                 corrupt = list(proof)
-                corrupt[i] = ProofLine(NegF(line.formula), line.rule,
+                corrupt[i] = ProofLine(Neg(line.formula), line.rule,
                                        line.refs, line.agent)
                 assert not verify_proof(corrupt).ok
 

@@ -6,15 +6,17 @@ import re
 
 import pytest
 
+import paldef
+from paldef import syntax
 from paldef.checker import _subformulas
-from paldef.definitions import DefState, EquivLiteral, literal_sat
+from paldef.definitions import DefState, EquivLiteral, literal_sat, parse_literal_lines
 from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
-    And, AndF, AnnF, Atom, AtomF, BoxF, EquivF, KdF, Neg, NegF,
-    OccSubst, ParseError, apply_occ_subst, apply_simultaneous, embed_bool,
-    form_agents, form_vocabulary, is_circular, leaves, length, lex_compare,
-    lex_key, mk_iff, mk_imp, mk_or, occurrences, parse_bool, parse_form,
-    postorder, project_bool, substitute, text_of_bool, text_of_form, vocabulary,
+    And, AnnF, Atom, BoxF, EquivF, KdF, Neg, OccSubst, ParseError,
+    apply_occ_subst, apply_simultaneous, form_agents, form_vocabulary,
+    is_circular, leaves, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
+    occurrences, parse_bool, parse_form, postorder, substitute, text_of_bool,
+    text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -78,17 +80,17 @@ class TestPrint:
 class TestParseForm:
     def test_box_binds_tighter_than_and(self):
         f = parse_form("box i p & (p == q)")
-        assert f == AndF(BoxF("i", AtomF(p)), EquivF(p, q))
+        assert f == And(BoxF("i", p), EquivF(p, q))
 
     def test_sugar_expansion(self):
-        assert parse_form("p -> q") == mk_imp(AtomF(p), AtomF(q))
-        assert parse_form("p | q") == mk_or(AtomF(p), AtomF(q))
-        assert parse_form("p <-> q") == mk_iff(AtomF(p), AtomF(q))
-        assert parse_form("p != q") == NegF(EquivF(p, q))
+        assert parse_form("p -> q") == mk_imp(p, q)
+        assert parse_form("p | q") == mk_or(p, q)
+        assert parse_form("p <-> q") == mk_iff(p, q)
+        assert parse_form("p != q") == Neg(EquivF(p, q))
 
     def test_kx_is_sugar(self):
-        assert parse_form("kx i (p & q)") == AndF(
-            BoxF("i", embed_bool(And(p, q))), KdF("i", And(p, q)))
+        assert parse_form("kx i (p & q)") == And(
+            BoxF("i", And(p, q)), KdF("i", And(p, q)))
 
     def test_equiv_operands_are_strict(self):
         with pytest.raises(ParseError):
@@ -107,9 +109,9 @@ class TestParseForm:
             parse_form(bad)
 
     @pytest.mark.parametrize("text,tree", [
-        ("(p & q) & r == s", AndF(AndF(AtomF(p), AtomF(q)), EquivF(r, s))),
+        ("(p & q) & r == s", And(And(p, q), EquivF(r, s))),
         ("~p == q", EquivF(Neg(p), q)),
-        ("~box i p", NegF(BoxF("i", AtomF(p)))),
+        ("~box i p", Neg(BoxF("i", p))),
     ])
     def test_precedence(self, text, tree):
         assert parse_form(text) == tree
@@ -124,8 +126,9 @@ class TestParseForm:
         assert isinstance(f, AnnF) and isinstance(f.inner, AnnF)
 
     def test_projection(self):
-        assert project_bool(parse_form("~(p & q)")) == Neg(And(p, q))
-        assert project_bool(parse_form("box i p")) is None
+        # a boolean text is one tree in both layers, the sugar expanded
+        assert parse_form("~(p & q)") == parse_bool("~(p & q)") == Neg(And(p, q))
+        assert parse_form("p | q") == parse_bool("~(~p & ~q)")
 
 
 class TestMeasures:
@@ -197,9 +200,9 @@ _DEEP_CASES = {
     "postorder": (lambda P: len(postorder(P)), lambda t: t.count("~") + 2 * t.count("&") + 1),
     "length": (length, lambda t: len(t.replace(" ", ""))),
     "vocabulary": (lambda P: sorted(a.name for a in vocabulary(P)), _atom_names),
-    "form_vocabulary": (lambda P: sorted(a.name for a in form_vocabulary(embed_bool(P))),
+    "form_vocabulary": (lambda P: sorted(a.name for a in form_vocabulary(BoxF("i", P))),
                         _atom_names),
-    "form_agents": (lambda P: form_agents(BoxF("i", embed_bool(P))), lambda t: {"i"}),
+    "form_agents": (lambda P: form_agents(BoxF("i", P)), lambda t: {"i"}),
     "lex_key": (lambda P: lex_key(P)[0], lambda t: 1 if t[0] == "~" else 2),
     "leaves": (lambda P: len(leaves(P)), lambda t: t.count("&") + 1),
     "occurrences": (lambda P: occurrences(p, P), lambda t: t.count("p")),
@@ -208,8 +211,9 @@ _DEEP_CASES = {
         lambda t: t[::-1].replace("p", "s~", 1)[::-1]),
     "substitute": (lambda P: text_of_bool(substitute(P, lambda a: And(q, r) if a == p else a)),
                    _p_defined),
-    "embed_bool": (lambda P: text_of_form(embed_bool(P)), lambda t: t),
-    "project_bool": (lambda P: text_of_bool(project_bool(embed_bool(P))), lambda t: t),
+    "text_of_form": (text_of_form, lambda t: t),
+    "parse_literal_lines": (lambda P: text_of_bool(parse_literal_lines(text_of_bool(P))[1][0]),
+                            lambda t: t),
     "unravel": (lambda P: text_of_bool(unravel(_P_IS_Q_AND_R, "w0", P)), _p_defined),
     "truth": (lambda P: truth(P, {p: True, q: True, r: True}), lambda t: t.count("~") % 2 == 0),
     "resolve": (lambda P: text_of_bool(DefState().assert_equiv(p, And(q, r)).resolve(P)),
@@ -402,9 +406,8 @@ class TestRoundTrip:
     def test_text_layer_has_no_recursion_limit(self, text, canonical):
         f = parse_form(text)
         assert text_of_form(f) == canonical
-        P = project_bool(f)
-        if P is not None:
-            assert text_of_form(embed_bool(P)) == text_of_bool(P) == canonical
+        if all(type(g) in (Atom, Neg, And) for g in postorder(f)):
+            assert text_of_bool(f) == canonical
 
     def test_atom_names_validated(self):
         with pytest.raises(ValueError):
@@ -416,13 +419,30 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             Atom("9x")
         with pytest.raises(ValueError):
-            BoxF("kd", AtomF(Atom("p")))
+            BoxF("kd", Atom("p"))
         with pytest.raises(ValueError):
             KdF("I", Atom("p"))
         # the parser builds its nodes without the check; they equal checked ones
-        checked = BoxF("i", AndF(BoxF("j", AtomF(Atom("p"))), KdF("j", Atom("p"))))
+        checked = BoxF("i", And(BoxF("j", Atom("p")), KdF("j", Atom("p"))))
         parsed = parse_form("box i kx j p")
         assert parsed == checked and hash(parsed) == hash(checked)
+
+
+class TestFormerConstructorNames:
+    def test_they_build_nodes_of_the_one_family(self):
+        assert syntax.AtomF(p) is p
+        assert type(syntax.NegF(p)) is Neg and syntax.NegF(p) == Neg(p)
+        assert type(syntax.AndF(p, q)) is And and syntax.AndF(p, q) == And(p, q)
+        with pytest.raises(TypeError):
+            syntax.AtomF(Neg(p))
+
+    def test_each_has_its_own_str_and_stays_private(self):
+        # a tracer that wraps their __str__ must leave Neg's and And's alone
+        for name in ("AtomF", "NegF", "AndF"):
+            cls = getattr(syntax, name)
+            assert "__str__" in vars(cls)
+            assert vars(cls)["__str__"] not in (vars(Neg)["__str__"], vars(And)["__str__"])
+            assert name not in syntax.__all__ and not hasattr(paldef, name)
 
 
 _TOKENS = ("p", "q", "r", "i", "box", "kd", "kx", "~", "&", "|", "->", "<->",
@@ -453,8 +473,10 @@ def _parse_corpus():
 class TestParseDigest:
     # sha256 over each text and, for parse_form and parse_bool, the repr of
     # its tree or the fact of a ParseError; recorded with the recursive-descent
-    # parser that the operator-precedence loop replaced
-    DIGEST = "69a3066a8dc8063d6d78d632d730995140ed3652e8da65781b46c012629ede01"
+    # parser that the operator-precedence loop replaced, with its modal-layer
+    # AtomF(a), NegF and AndF nodes written as a, Neg and And since the two
+    # layers share one node family
+    DIGEST = "157a4418a1142fe14361ec350255535dc2bf1529bacdfa0da4497241d93366d4"
 
     def test_language_is_unchanged(self):
         h = hashlib.sha256()
