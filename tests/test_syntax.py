@@ -473,9 +473,9 @@ def _parse_corpus():
 class TestParseDigest:
     # sha256 over each text and, for parse_form and parse_bool, the repr of
     # its tree or the fact of a ParseError; recorded with the recursive-descent
-    # parser that the operator-precedence loop replaced, with its modal-layer
-    # AtomF(a), NegF and AndF nodes written as a, Neg and And since the two
-    # layers share one node family
+    # parser that the operator-precedence loop replaced, with the modal
+    # layer's own atom, negation and conjunction nodes written as Atom, Neg
+    # and And since the two layers share one node family
     DIGEST = "157a4418a1142fe14361ec350255535dc2bf1529bacdfa0da4497241d93366d4"
 
     def test_language_is_unchanged(self):
