@@ -10,9 +10,11 @@ V_w(p) = V_w(unravel(p)); `validate` checks exactly that, and the test suite
 guards the reduction by brute force.
 
 Models are immutable after validation; `restrict` returns a fresh model.
-Each premodel indexes its successors once, per agent and world, in sorted
-order, the first time `successors` is asked; `restrict` derives the
-restricted model's index from its parent's instead of scanning relations.
+A relation is stored only as a successor index: agent -> world -> its
+successors, sorted and each once.  The loader builds it from the file's pair
+lists, a premodel built from pair sets converts them once, and `restrict`
+filters its parent's index.  `Premodel.relations` reads the index as a
+mapping from agent to a frozenset of (u, v) pairs, built when it is read.
 
 The module also holds the propositional core that the decision procedures
 share.  `truth` evaluates a boolean formula under a dict valuation.  `Cnf`
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 from .syntax import (
@@ -38,7 +41,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "Premodel", "Model", "Violation", "InvalidModelError",
+    "Premodel", "Model", "Relations", "Violation", "InvalidModelError",
     "unravel", "eval_bool", "validate", "restrict", "truth", "Cnf", "first_model",
     "load", "save", "loads", "dumps", "premodel_from_dict", "premodel_to_dict",
     "single_world_model", "fixture_path", "fixture_names", "FIXTURE_ENV_VAR",
@@ -48,16 +51,62 @@ FIXTURE_ENV_VAR = "PALDEF_FIXTURES"
 _FIXTURE_NAMES = ("fig1", "fig2", "fig3", "fig4")
 
 
+class Relations(Mapping):
+    """Read-only agent -> frozenset of (u, v) pairs, stored as `index`:
+    agent -> world -> its sorted successors, where a world without
+    successors has no entry.  Reading an agent builds its pair set anew."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: dict[str, dict[str, tuple[str, ...]]]):
+        self.index = index
+
+    def __getitem__(self, agent: str) -> frozenset[tuple[str, str]]:
+        return frozenset((u, v) for u, vs in self.index[agent].items() for v in vs)
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __contains__(self, agent) -> bool:
+        return agent in self.index
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Relations):
+            return self.index == other.index
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+def _successor_lists(pairs, ids: dict[str, str]) -> dict[str, tuple[str, ...]]:
+    """One agent's index entry from (u, v) pairs in any order; duplicates
+    are dropped.  A world id found in `ids` is replaced by the string object
+    there, so the index shares the world list's strings."""
+    lists: defaultdict[str, list[str]] = defaultdict(list)
+    for u, v in pairs:
+        lists[ids.get(u, u)].append(ids.get(v, v))
+    return {u: tuple(sorted(set(vs))) for u, vs in lists.items()}
+
+
 @dataclass(frozen=True)
 class Premodel:
-    """Raw model data; totality holds but the two model constraints may not."""
+    """Raw model data; totality holds but the two model constraints may not.
+
+    `relations` may be given as any mapping from agent to an iterable of
+    (u, v) pairs; each is iterated once, into the successor index, and the
+    field then holds the index as a `Relations` mapping with the same agents.
+    """
 
     vocabulary: tuple[Atom, ...]
     agents: tuple[str, ...]
     worlds: tuple[str, ...]
     valuation: dict[str, dict[Atom, bool]]
     definitions: dict[str, dict[Atom, BoolForm]]
-    relations: dict[str, frozenset[tuple[str, str]]]
+    relations: Mapping[str, frozenset[tuple[str, str]]]
     actual: str | None = None
 
     def __post_init__(self) -> None:
@@ -69,11 +118,16 @@ class Premodel:
                                       ("agents", self.agents, set(self.agents))):
             if len(distinct) != len(items):
                 raise ValueError(f"duplicate {what}")
-        for agent, pairs in self.relations.items():
+        if not isinstance(self.relations, Relations):
+            ids = {w: w for w in self.worlds}
+            object.__setattr__(self, "relations", Relations(
+                {agent: _successor_lists(pairs, ids) for agent, pairs in self.relations.items()}))
+        for agent, succ in self.relations.index.items():
             if agent not in self.agents:
                 raise ValueError(f"relation for undeclared agent {agent!r}")
-            for u, v in pairs:
-                if u not in world_set or v not in world_set:
+            for u, vs in succ.items():
+                if u not in world_set or not world_set.issuperset(vs):
+                    v = next(v for v in vs if u not in world_set or v not in world_set)
                     raise ValueError(f"relation {agent}: unknown world in ({u}, {v})")
         for w in self.worlds:
             for name, table in (("valuation", self.valuation), ("def", self.definitions)):
@@ -95,27 +149,11 @@ class Premodel:
     def successors(self, agent: str, world: str) -> tuple[str, ...]:
         """The agent's successors of the world, sorted; an index lookup."""
         try:
-            return self._successor_index()[agent].get(world, ())
+            return self.relations.index[agent].get(world, ())
         except KeyError:
+            if agent in self.agents:
+                return ()
             raise ValueError(f"unknown agent {agent!r}") from None
-
-    def _successor_index(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        """agent -> world -> its sorted successors, for every declared agent;
-        a world without successors has no entry.  Built on the first call
-        and kept as the `_successors` attribute, set like the fields are
-        (a write to `__dict__` would give every instance a dict of its own)."""
-        try:
-            return self._successors
-        except AttributeError:
-            pass
-        index: dict[str, dict[str, tuple[str, ...]]] = {agent: {} for agent in self.agents}
-        for agent, pairs in self.relations.items():
-            lists: dict[str, list[str]] = {}
-            for u, v in pairs:
-                lists.setdefault(u, []).append(v)
-            index[agent] = {u: tuple(sorted(vs)) for u, vs in lists.items()}
-        object.__setattr__(self, "_successors", index)
-        return index
 
 
 class Model(Premodel):
@@ -125,7 +163,8 @@ class Model(Premodel):
         """Skip the premodel shape checks.  A Model is only built by
         `validate`, from a Premodel that passed them, or by `restrict`, from
         a Model, keeping some of its worlds and the pairs between them; both
-        hand over data that already has the checked shape."""
+        hand over data that already has the checked shape, with relations
+        already held as a `Relations` index."""
 
 
 @dataclass(frozen=True)
@@ -322,10 +361,9 @@ def restrict(model: Model, keep) -> Model:
 
     Restriction only removes worlds and relation pairs, so both model
     constraints (which are per-world) are preserved and the result is built
-    without revalidation or shape checks.  The result's successor index and
-    relations come from one pass over the kept worlds' entries in the
-    model's index: filtering a sorted tuple keeps it sorted, so nothing is
-    rescanned or sorted again.
+    without revalidation or shape checks.  The result's successor index is
+    the model's, filtered to the kept worlds in one pass: filtering a sorted
+    tuple keeps it sorted, and no relation pair is built.
     """
     keep = set(keep)
     unknown = keep.difference(model.worlds)
@@ -334,28 +372,22 @@ def restrict(model: Model, keep) -> Model:
     if not keep:
         raise ValueError("restriction to the empty set of worlds")
     worlds = tuple(w for w in model.worlds if w in keep)
-    parent = model._successor_index()
-    index: dict[str, dict[str, tuple[str, ...]]] = {agent: {} for agent in model.agents}
-    relations: dict[str, frozenset[tuple[str, str]]] = {}
-    for agent in model.relations:
-        succ, child, pairs = parent[agent], index[agent], []
+    index: dict[str, dict[str, tuple[str, ...]]] = {}
+    for agent, succ in model.relations.index.items():
+        child = index[agent] = {}
         for u in worlds:
             kept = tuple(filter(keep.__contains__, succ.get(u, ())))
             if kept:
                 child[u] = kept
-                pairs += zip(repeat(u), kept)
-        relations[agent] = frozenset(pairs)
-    result = Model(
+    return Model(
         model.vocabulary,
         model.agents,
         worlds,
         {w: model.valuation[w] for w in worlds},
         {w: model.definitions[w] for w in worlds},
-        relations,
+        Relations(index),
         model.actual if model.actual in keep else None,
     )
-    object.__setattr__(result, "_successors", index)
-    return result
 
 
 def single_world_model(vocabulary_atoms, agents, valuation, definitions,
@@ -413,17 +445,22 @@ def json_typed(value, kind: type, what: str):
     return value
 
 
-def _world_pairs(pairs, agent: str, ids: dict[str, str]) -> frozenset[tuple[str, str]]:
-    """One agent's relation: a list of pairs, each a list of two world ids.
-
-    A declared id is replaced by the string object in `ids`, so the pairs
-    share the world list's strings instead of each holding its own copies
-    from the JSON text; dense relations have thousands of pairs."""
-    if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(w, str) for w in pair)
-            for pair in pairs):
-        raise ValueError(f'"relations" of {agent} must be a list of pairs of world ids')
-    return frozenset((ids.get(u, u), ids.get(v, v)) for u, v in pairs)
+def _file_pairs(pairs, agent: str, worlds: set[str]):
+    """One agent's relation in a model file: a list of pairs, each a list of
+    two world ids.  Yields the pairs in file order, so an error names the
+    first bad one."""
+    shape = f'"relations" of {agent} must be a list of pairs of world ids'
+    if not isinstance(pairs, list):
+        raise ValueError(shape)
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(shape)
+        u, v = pair
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise ValueError(shape)
+        if u not in worlds or v not in worlds:
+            raise ValueError(f"relation {agent}: unknown world in ({u}, {v})")
+        yield u, v
 
 
 def premodel_from_dict(data: dict) -> Premodel:
@@ -445,11 +482,11 @@ def premodel_from_dict(data: dict) -> Premodel:
                             for name, value in json_typed(entry["valuation"], dict, '"valuation"').items()}
             definitions[w] = {Atom(name): parse_bool(json_typed(text, str, '"def" image'))
                               for name, text in json_typed(entry["def"], dict, '"def"').items()}
-        ids = {w: w for w in worlds}
-        relations = {agent: _world_pairs(pairs, agent, ids) for agent, pairs in
+        declared = set(worlds)
+        relations = {agent: _file_pairs(pairs, agent, declared) for agent, pairs in
                      json_typed(data.get("relations", {}), dict, '"relations"').items()}
         for agent in agents:
-            relations.setdefault(agent, frozenset())
+            relations.setdefault(agent, ())
         actual = data.get("actual")
         if actual is not None:
             json_typed(actual, str, '"actual"')

@@ -418,7 +418,7 @@ def _assemble(tree, vocab, agents) -> Model:
         worlds=tuple(worlds),
         valuation=valuation,
         definitions=definitions,
-        relations={agent: frozenset(ps) for agent, ps in pairs.items()},
+        relations=pairs,
         actual=worlds[0],
     ))
 

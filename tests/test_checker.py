@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+import paldef.checker
 from paldef.checker import eval_global, evaluate, extension_table
-from paldef.models import Premodel, fixture_names, fixture_path, load, validate
+from paldef.models import Premodel, fixture_names, fixture_path, load, restrict, validate
 from paldef.syntax import (
     Atom, EquivF, mk_iff, mk_imp, parse_form, text_of_form,
 )
@@ -217,3 +218,37 @@ class TestQueryChecking:
             "(box i (p == q) & ~box i p)"]
         exts = dict((text_of_form(subf), ext) for subf, ext in table)
         assert exts["p"] == ["left"]
+
+
+def _self_evident_model(rng, n: int):
+    """A valid n-world model over p, q and r, every atom self-evident, with
+    random valuations; agents i and j each relate about a third of the
+    world pairs."""
+    worlds = tuple(f"w{k}" for k in range(n))
+    vocab = (p, q, r)
+    return validate(Premodel(
+        vocab, ("i", "j"), worlds,
+        {w: {a: rng.random() < 0.5 for a in vocab} for w in worlds},
+        {w: {a: a for a in vocab} for w in worlds},
+        {agent: {(u, v) for u in worlds for v in worlds if rng.random() < 0.35}
+         for agent in ("i", "j")},
+        worlds[0]))
+
+
+class TestGrowth:
+    """Work counts at doubling sizes, held to the bound a planned fix meets."""
+
+    @pytest.mark.xfail(strict=True, reason="evaluate restricts the model once per "
+                       "world where the announced formula holds")
+    @pytest.mark.parametrize("n", [40, 80, 160])
+    def test_an_announcement_restricts_the_model_once(self, monkeypatch, n):
+        m = _self_evident_model(random.Random(n), n)
+        calls = []
+
+        def counting_restrict(model, keep):
+            calls.append(keep)
+            return restrict(model, keep)
+
+        monkeypatch.setattr(paldef.checker, "restrict", counting_restrict)
+        eval_global(m, parse_form("[p | q] kd j r"))
+        assert len(calls) <= 1

@@ -1,16 +1,17 @@
 """Model constraints, unraveling, restriction, and the file format."""
 
 import dataclasses
+import importlib.util
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 import paldef.checker
-import paldef.models
 from paldef.checker import eval_global
 from paldef.models import (
-    Cnf, InvalidModelError, Model, Premodel, dumps, eval_bool, first_model,
+    Cnf, InvalidModelError, Model, Premodel, Relations, dumps, eval_bool, first_model,
     fixture_names, fixture_path, load, loads, restrict, save,
     single_world_model, truth, unravel, validate,
 )
@@ -45,6 +46,15 @@ class TestFixtures:
         save(figs["fig2"], tmp_path / "fig2.json")
         monkeypatch.setenv("PALDEF_FIXTURES", str(tmp_path))
         assert fixture_path("fig2") == tmp_path / "fig2.json"
+
+    def test_generator_rebuilds_the_shipped_fixtures(self):
+        spec = importlib.util.spec_from_file_location(
+            "gen_fixtures", Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        for name in fixture_names():
+            assert dumps(getattr(gen, f"build_{name}")()) == \
+                fixture_path(name).read_text(encoding="utf-8"), name
 
     def test_fig4_has_only_drawn_arrows(self, figs):
         m = figs["fig4"]
@@ -229,9 +239,9 @@ class CountingPairs(frozenset):
         return super().__iter__()
 
 
-def _counted_model(rng, n=80) -> Model:
-    """A valid n-world model (every atom self-evident) over CountingPairs
-    relations, with their construction-time iterations reset."""
+def _counted_model(rng, n=80) -> tuple[list[CountingPairs], Model]:
+    """The CountingPairs relations of a random n-world model, and the valid
+    model (every atom self-evident) built from them."""
     worlds = tuple(f"w{k}" for k in range(n))
     vocab = (p, q)
     relations = {agent: CountingPairs((u, v) for u in worlds for v in worlds
@@ -242,9 +252,21 @@ def _counted_model(rng, n=80) -> Model:
         {w: {a: rng.random() < 0.5 for a in vocab} for w in worlds},
         {w: {a: a for a in vocab} for w in worlds},
         relations, worlds[0]))
-    for pairs in model.relations.values():
-        pairs.iterations = 0
-    return model
+    return list(relations.values()), model
+
+
+def _count_pair_set_builds(monkeypatch) -> list[str]:
+    """The agents whose pair sets `Relations` builds from now on, one entry
+    per build."""
+    builds = []
+    build = Relations.__getitem__
+
+    def counting_build(self, agent):
+        builds.append(agent)
+        return build(self, agent)
+
+    monkeypatch.setattr(Relations, "__getitem__", counting_build)
+    return builds
 
 
 class TestSuccessorIndex:
@@ -271,28 +293,47 @@ class TestSuccessorIndex:
             rebuilt = Premodel(**{name: getattr(m, name) for name in names})
             assert isinstance(validate(rebuilt), Model)
 
-    def test_box_lookups_iterate_each_relation_once(self):
-        m = _counted_model(random.Random(41))
+    def test_box_lookups_iterate_each_relation_once(self, monkeypatch):
+        pair_sets, m = _counted_model(random.Random(41))
+        assert [pairs.iterations for pairs in pair_sets] == [1, 1]
+        builds = _count_pair_set_builds(monkeypatch)
         eval_global(m, parse_form("box i box j p"))
-        assert [pairs.iterations for pairs in m.relations.values()] == [1, 1]
+        assert builds == []
+        assert [pairs.iterations for pairs in pair_sets] == [1, 1]
 
     def test_announcement_reads_the_parent_index(self, monkeypatch):
-        m = _counted_model(random.Random(42))
-        # restrict builds its relations with the module's `frozenset`
-        monkeypatch.setattr(paldef.models, "frozenset", CountingPairs, raising=False)
+        pair_sets, m = _counted_model(random.Random(42))
+        builds = _count_pair_set_builds(monkeypatch)
         restricted = []
 
         def recording_restrict(model, keep):
-            restricted.append(restrict(model, keep))
-            return restricted[-1]
+            restricted.append((model, restrict(model, keep)))
+            return restricted[-1][1]
 
         monkeypatch.setattr(paldef.checker, "restrict", recording_restrict)
         eval_global(m, parse_form("[p] box i q"))
         assert restricted
-        assert all(pairs.iterations <= 1 for pairs in m.relations.values())
-        counts = [(type(pairs), pairs.iterations)
-                  for sub in restricted for pairs in sub.relations.values()]
-        assert set(counts) == {(CountingPairs, 0)}
+        assert builds == []
+        assert [pairs.iterations for pairs in pair_sets] == [1, 1]
+        for parent, sub in restricted:
+            kept = set(sub.worlds)
+            for agent in sub.agents:
+                for w in sub.worlds:
+                    assert sub.successors(agent, w) == tuple(
+                        v for v in parent.successors(agent, w) if v in kept)
+
+    def test_relations_read_as_pair_sets(self, figs):
+        m = figs["fig3"]
+        assert m.relations == {"a": {("left", "left"), ("left", "middle"),
+                                     ("middle", "left"), ("middle", "middle"),
+                                     ("right", "right")},
+                               "b": {("left", "left"), ("middle", "middle"),
+                                     ("middle", "right"), ("right", "middle"),
+                                     ("right", "right")}}
+        assert all(type(pairs) is frozenset for pairs in m.relations.values())
+        assert list(m.relations) == ["a", "b"] and "c" not in m.relations
+        with pytest.raises(TypeError):
+            m.relations["c"] = frozenset()
 
 
 class TestFileFormat:
@@ -328,6 +369,35 @@ class TestFileFormat:
         data["relations"]["i"].append(["left", "bogus"])
         with pytest.raises(ValueError):
             loads(json.dumps(data))
+
+    def test_unknown_world_error_names_the_first_bad_pair(self, figs):
+        bad = [["x3", "left"], ["left", "x1"], ["left", "x4"], ["x2", "x2"]]
+        for k, (u, v) in enumerate(bad):
+            data = json.loads(dumps(figs["fig2"]))
+            data["relations"]["i"][1:1] = bad[k:] + bad[:k]
+            with pytest.raises(ValueError) as err:
+                loads(json.dumps(data))
+            assert str(err.value) == f"relation i: unknown world in ({u}, {v})"
+
+    def test_premodel_checks_relations_built_in_python(self, figs):
+        m = figs["fig2"]
+        left_only = (m.vocabulary, m.agents, ("left",), {"left": m.valuation["left"]},
+                     {"left": m.definitions["left"]})
+        for relations, message in (({"i": {("left", "x3")}}, r"unknown world in \(left, x3\)"),
+                                   ({"i": {("x3", "left")}}, r"unknown world in \(x3, left\)"),
+                                   (m.relations, r"unknown world in \(left, right\)"),
+                                   ({"k": set()}, "undeclared agent 'k'")):
+            with pytest.raises(ValueError, match=message):
+                Premodel(*left_only, relations)
+
+    def test_duplicate_pairs_are_kept_once(self):
+        text = fixture_path("fig2").read_text(encoding="utf-8")
+        data = json.loads(text)
+        data["relations"]["i"][1:1] = [["left", "right"], ["left", "left"]]
+        data["relations"]["i"].append(["right", "left"])
+        m = loads(json.dumps(data))
+        assert m.successors("i", "left") == m.successors("i", "right") == ("left", "right")
+        assert dumps(m) == text
 
     def test_undeclared_atom_in_definition(self, figs):
         data = json.loads(dumps(figs["fig2"]))
