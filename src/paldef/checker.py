@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from .models import Model, restrict, unravel
 from .syntax import (
-    And, AnnF, Atom, BoxF, DefIsF, EquivF, Form, KdF, Neg, form_agents,
-    form_vocabulary,
+    And, AnnF, Atom, BoxF, DefIsF, EquivF, Form, KdF, Neg, postorder,
 )
 
 __all__ = ["evaluate", "eval_global", "extension_table", "check_query"]
@@ -26,12 +25,20 @@ def check_query(model: Model, world: str, formula: Form) -> None:
     """Reject queries that mention undeclared worlds, atoms, or agents."""
     if world not in model.worlds:
         raise ValueError(f"unknown world {world!r}")
-    missing_atoms = form_vocabulary(formula) - set(model.vocabulary)
+    declared = model.valuation[world]  # keyed by exactly the vocabulary
+    missing_atoms: set[Atom] = set()
+    missing_agents: set[str] = set()
+    for g in postorder(formula):
+        kind = type(g)
+        if kind is Atom:
+            if g not in declared:
+                missing_atoms.add(g)
+        elif (kind is BoxF or kind is KdF) and g.agent not in model.agents:
+            missing_agents.add(g.agent)
     if missing_atoms:
         raise ValueError(
             f"formula mentions undeclared atoms {sorted(a.name for a in missing_atoms)}"
         )
-    missing_agents = form_agents(formula) - set(model.agents)
     if missing_agents:
         raise ValueError(f"formula mentions undeclared agents {sorted(missing_agents)}")
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import checker, models, proof
 from .definitions import DInput, literal_sat, parse_literal_lines
-from .syntax import Form, Neg, ParseError, parse_form, text_of_form
+from .syntax import Form, Neg, ParseError, parse_form, text_of_batch, text_of_form
 
 PROG = "paldef"
 
@@ -147,7 +147,9 @@ def cmd_defcheck(args):
     equivs, constraints = parse_literal_lines(text)
     result = literal_sat(equivs, constraints)
     if result.satisfiable:
-        images = [(a, str(image)) for a, image in sorted(result.definitions.items())]
+        defs = sorted(result.definitions.items())
+        texts = text_of_batch([image for _, image in defs], sugar=False)
+        images = [(a, text) for (a, _), text in zip(defs, texts)]
         seed = {
             "def": {a.name: text for a, text in images},
             "valuation": {a.name: v for a, v in sorted(result.valuation.items())},

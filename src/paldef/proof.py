@@ -27,7 +27,7 @@ from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
     apply_occ_subst, as_iff, is_circular, mk_imp, occurrences, parse_form,
-    postorder, text_of_form,
+    postorder, text_of_batch, text_of_form,
 )
 
 __all__ = [
@@ -223,9 +223,12 @@ def verify_proof(lines) -> ProofOutcome:
 
 
 def proof_to_json(lines) -> str:
+    """The proof file of the lines; their formulas are printed as one batch,
+    so a subformula the lines share is printed once."""
+    lines = list(lines)
     data = []
-    for line in lines:
-        entry: dict = {"formula": text_of_form(line.formula), "rule": line.rule}
+    for line, text in zip(lines, text_of_batch(line.formula for line in lines)):
+        entry: dict = {"formula": text, "rule": line.rule}
         if line.refs:
             entry["refs"] = list(line.refs)
         if line.agent is not None:
@@ -461,15 +464,27 @@ def witness_to_proof(witness: CircularWitness, premises) -> list[ProofLine]:
     """Compile a circularity witness into a hypothesis-free Hilbert proof.
 
     The proof derives `~C`, where C is the conjunction of the positive
-    equivalence literals handed in (the inconsistent input set): every
-    intermediate equivalence is carried as `C -> lit`, chained through
-    definition-axiom instances with tautology glue, and the circular
+    equivalence literals handed in (the inconsistent input set).  Every
+    intermediate equivalence lit is carried as `C_S -> lit`, where C_S is the
+    conjunction, in input order, of the premises S that lit's derivation
+    uses; it is chained through definition-axiom instances with tautology
+    glue that weakens each premise's C_S to their union's, and the circular
     conclusion is refuted by the non-circularity axiom.
     """
     premise_forms = [EquivF(lit.left, lit.right) for lit in premises]
     if not premise_forms:
         raise ValueError("no premises to refute")
+    position: dict[Form, int] = {}
+    for k, f in enumerate(premise_forms):
+        position.setdefault(f, k)
     big_c = _conjoin(premise_forms)
+    hypotheses: dict[frozenset[int], Form] = {frozenset(range(len(premise_forms))): big_c}
+
+    def hypothesis(used: frozenset[int]) -> Form:
+        """C_S, built once per set of premise positions."""
+        if used not in hypotheses:
+            hypotheses[used] = _conjoin([premise_forms[k] for k in sorted(used)])
+        return hypotheses[used]
 
     lines: list[ProofLine] = []
     by_formula: dict[Form, int] = {}
@@ -481,64 +496,65 @@ def witness_to_proof(witness: CircularWitness, premises) -> list[ProofLine]:
         by_formula.setdefault(formula, len(lines))
         return len(lines)
 
-    def chain(premises: list[tuple[int, Form]], via: Form, d: Form) -> int:
-        """From the lines `C -> f` of the premises f and an axiom `via`
-        that yields d from them propositionally."""
-        cd = mk_imp(big_c, d)
+    def chain(premises: list[tuple[int, frozenset[int]]], via: Form,
+              d: Form) -> tuple[int, frozenset[int]]:
+        """From the lines `C_S -> f` of the premises f and an axiom `via`
+        that yields d from them propositionally, the line `C_S -> d` for the
+        union S of their premise sets."""
+        used = frozenset().union(*(s for _, s in premises))
+        cd = mk_imp(hypothesis(used), d)
         goals = [mk_imp(via, cd)]
-        for _, f in reversed(premises):
-            goals.append(mk_imp(mk_imp(big_c, f), goals[-1]))
+        for ref, _ in reversed(premises):
+            goals.append(mk_imp(lines[ref - 1].formula, goals[-1]))
         line = add(goals.pop(), "taut")
         for ref, _ in premises:
             line = add(goals.pop(), "mp", (ref, line))
-        return add(cd, "mp", (add(via, "axiom"), line))
+        return add(cd, "mp", (add(via, "axiom"), line)), used
 
-    derived: dict[Form, int] = {}
+    derived: dict[Form, tuple[int, frozenset[int]]] = {}
 
-    def given(d: Derivation) -> tuple[int, Form]:
-        return derive(d), EquivF(d.left, d.right)
-
-    def derive(d: Derivation) -> int:
-        """Line number of `C -> (d.left == d.right)`."""
+    def derive(d: Derivation) -> tuple[int, frozenset[int]]:
+        """Line number of `C_S -> (d.left == d.right)`, and S."""
         lit = EquivF(d.left, d.right)
         if lit in derived:
             return derived[lit]
         match d:
             case DInput():
-                if lit not in premise_forms:
+                if lit not in position:
                     raise ValueError(f"witness uses unknown premise {text_of_form(lit)}")
-                line = add(mk_imp(big_c, lit), "taut")
+                used = frozenset((position[lit],))
+                found = add(mk_imp(hypothesis(used), lit), "taut"), used
             case DSym(_, _, of):
-                line = chain([given(of)], _axiom("symmetry", x=of.left, y=of.right), lit)
+                found = chain([derive(of)], _axiom("symmetry", x=of.left, y=of.right), lit)
             case DNegParts(left, right, of):
-                line = chain([given(of)], _axiom("pattern-neg", x=left, y=right), lit)
+                found = chain([derive(of)], _axiom("pattern-neg", x=left, y=right), lit)
             case DAndParts(_, _, of, _):
                 via = _axiom("pattern-and", x=of.left.left, y=of.left.right,
                              z=of.right.left, w=of.right.right)
-                line = chain([given(of)], via, lit)
+                found = chain([derive(of)], via, lit)
             case DTrans(_, _, first, second):
                 via = _axiom("transitivity", x=first.left, y=first.right, z=second.right)
-                line = chain([given(first), given(second)], via, lit)
+                found = chain([derive(first), derive(second)], via, lit)
             case _:
                 raise TypeError(f"unknown derivation node {d!r}")
-        derived[lit] = line
-        return line
+        derived[lit] = found
+        return found
 
     atom = witness.base.left
-    line_current, current = given(witness.base)
+    proved = derive(witness.base)
     rhs = witness.base.right
+    current = EquivF(atom, rhs)
     for step in witness.steps:
-        premise = given(step.premise)
         rewritten = apply_occ_subst(step.subst, rhs)
         via = _axiom("occurrence-substitution", p=step.premise.left, x=step.premise.right,
                      y=atom, z=rhs, w=rewritten)
         conclusion = EquivF(atom, rewritten)
-        line_current = chain([premise, (line_current, current)], via, conclusion)
+        proved = chain([derive(step.premise), proved], via, conclusion)
         rhs, current = rewritten, conclusion
 
     non_circ = add(_axiom("non-circularity", p=atom, x=rhs), "axiom")
-    flip = add(mk_imp(mk_imp(big_c, current),
-                      mk_imp(Neg(current), Neg(big_c))), "taut")
-    s = add(mk_imp(Neg(current), Neg(big_c)), "mp", (line_current, flip))
+    refute = mk_imp(Neg(current), Neg(big_c))
+    flip = add(mk_imp(lines[proved[0] - 1].formula, refute), "taut")
+    s = add(refute, "mp", (proved[0], flip))
     add(Neg(big_c), "mp", (non_circ, s))
     return lines

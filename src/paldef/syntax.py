@@ -26,7 +26,7 @@ __all__ = [
     "Atom", "Neg", "And", "BoolForm",
     "EquivF", "BoxF", "AnnF", "KdF", "DefIsF", "Form",
     "OccSubst", "ParseError",
-    "parse_bool", "parse_form", "text_of_bool", "text_of_form",
+    "parse_bool", "parse_form", "text_of_bool", "text_of_form", "text_of_batch",
     "length", "vocabulary", "form_vocabulary", "form_agents",
     "lex_key", "lex_compare", "leaves", "occurrences",
     "apply_occ_subst", "apply_simultaneous", "is_circular",
@@ -386,13 +386,53 @@ def text_of_bool(f: Form) -> str:
     return f.name if type(f) is Atom else _text(f, False)
 
 
-def _text(f: Form, sugar: bool) -> str:
+def text_of_batch(forms, sugar: bool = True) -> list[str]:
+    """The texts of several formulas: `text_of_form` of each, or without
+    sugar `text_of_bool` of each.
+
+    A node object that the batch reaches more than once is printed once per
+    sugar setting and its text reused, so the work grows with the distinct
+    nodes of the batch rather than with the size of its trees.
+    """
+    forms = list(forms)
+    memo = _shared_memo(forms)
+    return [_text(f, sugar, memo) for f in forms]
+
+
+def _shared_memo(forms: list) -> dict:
+    """An empty memo for `_text`: the key `(id(node), sugar)`, for both
+    settings, of every compound node reached more than once from forms.
+    A node met again is not walked again, so this takes one step per
+    distinct node."""
+    seen: set[int] = set()
+    memo: dict = {}
+    todo = list(forms)
+    while todo:
+        g = todo.pop()
+        if type(g) is Atom or type(g) is str:  # a str is an agent's name
+            continue
+        key = id(g)
+        if key in seen:
+            memo[key, False] = memo[key, True] = None
+        else:
+            seen.add(key)
+            # anything else than a formula is left for `_text` to reject
+            todo += [getattr(g, name) for name in getattr(g, "__match_args__", ())]
+    return memo
+
+
+def _text(f: Form, sugar: bool, memo: dict | None = None) -> str:
     """Fragments are pushed onto a stack in reverse reading order and joined
     once, so no level copies its children's text and depth is unbounded.
 
     The operands of `==`, `kd` and `:=` are strict boolean formulas: sugar is
     off while they are printed, until the None pushed below them comes off
     the stack.
+
+    A node whose key `(id(node), sugar)` is in memo is printed once: a
+    `(key, start)` marker pushed below its operands joins the fragments from
+    `start` on into its text and stores that text, with the sugar setting
+    the node leaves behind, for its later occurrences.
     """
     resugar = sugar
     out: list[str] = []
@@ -406,6 +446,13 @@ def _text(f: Form, sugar: bool) -> str:
         if kind is Atom:
             out.append(g.name)
             continue
+        if memo is not None and (key := (id(g), sugar)) in memo:
+            done = memo[key]
+            if done is not None:
+                out.append(done[0])
+                sugar = done[1]
+                continue
+            todo.append((key, len(out)))
         # a prefix and its operand, or an infix operator and its two operands
         sides = None
         if kind is Neg:
@@ -432,6 +479,13 @@ def _text(f: Form, sugar: bool) -> str:
             continue
         elif g is None:
             sugar = resugar
+            continue
+        elif kind is tuple:
+            key, start = g
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            memo[key] = text, sugar
             continue
         else:
             sugar = False

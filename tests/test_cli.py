@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paldef import syntax
 from paldef.cli import main
 from paldef.models import dumps, fixture_path, load
 from paldef.proof import proof_from_json, verify_proof
@@ -294,6 +295,35 @@ class TestDeepInput:
         payload = json.loads(out)
         assert payload["verdict"] == "error"
         assert payload["details"]["message"] == "input is nested too deeply"
+
+
+class TestGrowth:
+    """Printer work at doubling sizes.  In the seed of the linear chain
+    `x_k == (x_{k+1} & r)` each resolved definition holds the next one, so
+    its printed size grows as n squared while its distinct nodes grow as n."""
+
+    @pytest.mark.parametrize("n", [250, 500, 1000])
+    def test_seed_printing_expands_each_node_once(self, capsys, tmp_path, monkeypatch, n):
+        steps = []
+
+        class CountingMemo(dict):
+            """Counts the printer's lookups: one per compound node it pops,
+            expanded or reused, and one per memo marker."""
+
+            def __contains__(self, key):
+                steps.append(key)
+                return super().__contains__(key)
+
+        shared_memo = syntax._shared_memo
+        monkeypatch.setattr(syntax, "_shared_memo",
+                            lambda forms: CountingMemo(shared_memo(forms)))
+        path = tmp_path / "linear.lits"
+        path.write_text("".join(f"x{k} == (x{k + 1} & r)\n" for k in range(n)),
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "--machine", "defcheck", str(path))
+        assert code == 0
+        assert json.loads(out)["details"]["seed"]["def"]["x0"].count("&") == n
+        assert n <= len(steps) <= 4 * n
 
 
 # -- the exit-code contract on generated input ---------------------------------

@@ -460,7 +460,7 @@ def _digest_corpus():
 class TestWitnessDigest:
     # sha256 over every verdict reason and detail, and for each circular set
     # the witness repr and the proof that defcheck writes for it
-    DIGEST = "0b28bf3a273c3516474596dfa28a43461659bb2fbe60a906cdb9908979ccfa02"
+    DIGEST = "2fb0fd0371c3a7d3c691adef95013393927b8d559262669cb07619dd98bbe51b"
 
     def test_witness_corpus_is_unchanged(self):
         h = hashlib.sha256()

@@ -1,12 +1,15 @@
 """Axiom recognition, proof verification, reduction, and the tableau."""
 
 import hashlib
+import json
 import random
 
 import pytest
 
 from paldef.checker import evaluate
-from paldef.definitions import DInput, EquivLiteral, literal_sat
+from paldef.definitions import (
+    DInput, DTrans, EquivLiteral, literal_sat, parse_literal_lines,
+)
 from paldef.models import Model, dumps, validate
 from paldef.proof import (
     ProofLine, ReductionError, TautologyBudgetError, is_axiom_instance,
@@ -15,7 +18,7 @@ from paldef.proof import (
 )
 from paldef.syntax import (
     And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, apply_occ_subst,
-    mk_imp, mk_or, occurrences, parse_form, text_of_form,
+    as_imp, mk_imp, mk_or, occurrences, parse_form, text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -422,3 +425,104 @@ class TestWitnessProofs:
             compiled += 1
             narrowed += len(premises) < len(lits)
         assert compiled > 60 and narrowed > 20
+
+    def test_each_lemma_carries_the_premises_of_its_derivation(self):
+        rng = random.Random(46)
+        atoms = (p, q, r, s, Atom("t"))
+        checked = narrowed = 0
+        for _ in range(300):
+            lits = [EquivLiteral(True, rng.choice(atoms),
+                                 rng.choice(atoms) if rng.random() < 0.3
+                                 else random_bool(rng, atoms, 7))
+                    for _ in range(rng.randint(2, 6))]
+            res = literal_sat(lits)
+            if res.reason != "circular":
+                continue
+            premises = [EquivF(l.left, l.right) for l in lits]
+            allowed = _premise_sets(res.witness, premises)
+            proof = witness_to_proof(res.witness, lits)
+            assert verify_proof(proof).ok
+            # the file prints the lines as one batch, with the same texts
+            assert [entry["formula"] for entry in json.loads(proof_to_json(proof))] == [
+                text_of_form(line.formula) for line in proof]
+            carried = {}
+            for line in proof:
+                lemma = _lemma(line, premises)
+                if lemma is not None:
+                    hypothesis, lit = lemma
+                    assert hypothesis in allowed[lit], (lits, text_of_form(line.formula))
+                    carried[lit] = hypothesis
+                    narrowed += hypothesis != _conjunction(premises)
+            assert carried.keys() == allowed.keys()
+            checked += 1
+        assert checked > 150 and narrowed > 300
+
+    def test_unused_premises_stay_out_of_the_lemmas(self):
+        used = ["x0 == (x1 & r)", "x1 == (x0 & r)"]
+        other = [f"y{k} == ~z{k}" for k in range(28)]
+        equivs, _ = parse_literal_lines("\n".join(other[:14] + used + other[14:]))
+        proof = witness_to_proof(literal_sat(equivs).witness, equivs)
+        unused = {Atom(f"{c}{k}") for c in "yz" for k in range(28)}
+        for line in proof[:-3]:
+            assert not vocabulary(line.formula) & unused, text_of_form(line.formula)
+        # only the last three lines name the conjunction of all 30 premises
+        assert proof[-1].formula == Neg(_conjunction([EquivF(l.left, l.right) for l in equivs]))
+        assert verify_proof(proof[:-3]).ok
+
+    @pytest.mark.parametrize("n,line", [(18, None), (19, 105)])
+    def test_the_tautology_budget_stops_circular_chains_after_18(self, n, line):
+        equivs, _ = parse_literal_lines(
+            "".join(f"x{k} == (x{(k + 1) % n} & r)\n" for k in range(n)))
+        outcome = verify_proof(witness_to_proof(literal_sat(equivs).witness, equivs))
+        assert outcome.ok is (line is None)
+        if line is not None:
+            assert outcome.line == line and "exceed the tautology budget" in outcome.reason
+
+
+def _conjunction(forms):
+    result = forms[-1]
+    for f in reversed(forms[:-1]):
+        result = And(f, result)
+    return result
+
+
+def _premise_sets(witness, premises):
+    """Each literal the witness derives -> the conjunctions, in input order,
+    of the premises that one of its derivations rests on; the chain's
+    conclusions rest on the base and every step premise so far."""
+    found: dict = {}
+
+    def rests_on(d) -> frozenset:
+        match d:
+            case DInput():
+                used = frozenset((premises.index(EquivF(d.left, d.right)),))
+            case DTrans(first=first, second=second):
+                used = rests_on(first) | rests_on(second)
+            case _:
+                used = rests_on(d.of)
+        found.setdefault(EquivF(d.left, d.right), set()).add(used)
+        return used
+
+    chain = rests_on(witness.base)
+    rhs = witness.base.right
+    for step in witness.steps:
+        chain |= rests_on(step.premise)
+        rhs = apply_occ_subst(step.subst, rhs)
+        found.setdefault(EquivF(witness.base.left, rhs), set()).add(chain)
+    return {lit: {_conjunction([premises[k] for k in sorted(used)]) for used in sets}
+            for lit, sets in found.items()}
+
+
+def _lemma(line, premises):
+    """(C_S, lit) when a line, not an axiom, reads `C_S -> lit` for a
+    conjunction C_S of premises and an equivalence lit; else None."""
+    parts = as_imp(line.formula)
+    if line.rule == "axiom" or parts is None or type(parts[1]) is not EquivF:
+        return None
+    hypothesis, conjuncts = parts[0], []
+    rest = hypothesis
+    while type(rest) is And:
+        conjuncts.append(rest.left)
+        rest = rest.right
+    conjuncts.append(rest)
+    return (hypothesis, parts[1]) if all(c in premises for c in conjuncts) else None

@@ -12,11 +12,11 @@ from paldef.checker import _subformulas
 from paldef.definitions import DefState, EquivLiteral, literal_sat, parse_literal_lines
 from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
-    And, AnnF, Atom, BoxF, EquivF, KdF, Neg, OccSubst, ParseError,
+    And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
     apply_occ_subst, apply_simultaneous, form_agents, form_vocabulary,
     is_circular, leaves, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
-    occurrences, parse_bool, parse_form, postorder, substitute, text_of_bool,
-    text_of_form, vocabulary,
+    occurrences, parse_bool, parse_form, postorder, substitute, text_of_batch,
+    text_of_bool, text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -443,6 +443,78 @@ class TestFormerConstructorNames:
             assert "__str__" in vars(cls)
             assert vars(cls)["__str__"] not in (vars(Neg)["__str__"], vars(And)["__str__"])
             assert name not in syntax.__all__ and not hasattr(paldef, name)
+
+
+def _shared_batch(rng, steps: int) -> list:
+    """Formulas built from a pool of earlier nodes, so that node objects are
+    shared between and within them; boolean nodes serve both as modal
+    operands and as operands of `==`, `kd` and `:=`."""
+    bools = list(ATOMS[:3])
+    forms = list(bools)
+    size = {id(a): 1 for a in bools}
+
+    def pick(pool):
+        # keep trees small: the one-formula printer expands every copy
+        return rng.choice([f for f in pool[-12:] if size[id(f)] < 400] or pool[:3])
+
+    def agent():
+        return rng.choice(AGENTS)
+
+    boolean = {"bneg": lambda a, b: Neg(a), "band": And, "bor": mk_or}
+    operands = {"equiv": EquivF, "nequiv": lambda a, b: Neg(EquivF(a, b)),
+                "kd": lambda a, b: KdF(agent(), a),
+                "defis": lambda a, b: DefIsF(rng.choice(ATOMS[:3]), b)}
+    modal = {"neg": lambda a, b: Neg(a), "and": And, "or": mk_or, "imp": mk_imp,
+             "iff": mk_iff, "box": lambda a, b: BoxF(agent(), a), "ann": AnnF}
+    for _ in range(steps):
+        kind = rng.choice([*boolean, *operands, *modal])
+        if kind in modal:
+            f = modal[kind](pick(forms), pick(forms))
+        else:
+            f = {**boolean, **operands}[kind](pick(bools), pick(bools))
+            if kind in boolean:
+                bools.append(f)
+        size[id(f)] = sum(1 for _ in postorder(f))
+        forms.append(f)
+    return rng.sample(forms, min(len(forms), 30))
+
+
+class TestBatchPrinter:
+    def test_batches_print_as_the_one_formula_printers(self):
+        rng = random.Random(31)
+        shared = 0
+        for _ in range(60):
+            batch = _shared_batch(rng, rng.randint(5, 40))
+            shared += bool(syntax._shared_memo(batch))
+            assert text_of_batch(batch) == [text_of_form(f) for f in batch]
+            assert text_of_batch(batch, sugar=False) == [text_of_bool(f) for f in batch]
+        assert shared == 60
+
+    def test_a_shared_node_prints_with_and_without_sugar(self):
+        x = mk_or(p, q)  # one node: `(p | q)` with sugar, `~(~p & ~q)` without
+        batch = [x, EquivF(x, r), Neg(EquivF(r, x)), And(x, KdF("i", x)), DefIsF(s, x), x]
+        assert text_of_batch(batch) == [
+            "(p | q)", "(~(~p & ~q) == r)", "(r != ~(~p & ~q))",
+            "((p | q) & kd i ~(~p & ~q))", "(s := ~(~p & ~q))", "(p | q)"]
+        assert text_of_batch(batch) == [text_of_form(f) for f in batch]
+        assert text_of_batch(batch, sugar=False) == [text_of_bool(f) for f in batch]
+
+    def test_a_shared_node_leaves_sugar_as_the_one_formula_printer_does(self):
+        # no parse builds `==` inside an operand of `==`, but a caller can;
+        # printing y turns sugar back on before its parent's operand ends
+        y = And(EquivF(p, q), r)
+        batch = [EquivF(y, mk_or(p, q)), EquivF(y, mk_or(p, q))]
+        assert text_of_batch(batch) == [text_of_form(f) for f in batch]
+
+    def test_a_deep_shared_chain_has_no_recursion_limit(self):
+        chain = p
+        for _ in range(100_000):
+            chain = Neg(chain)
+        batch = [And(chain, q), BoxF("i", chain), chain]
+        texts = ["(" + "~" * 100_000 + "p & q)", "box i " + "~" * 100_000 + "p",
+                 "~" * 100_000 + "p"]
+        assert text_of_batch(batch) == texts
+        assert text_of_batch(batch, sugar=False) == texts
 
 
 _TOKENS = ("p", "q", "r", "i", "box", "kd", "kx", "~", "&", "|", "->", "<->",
