@@ -26,8 +26,8 @@ from .definitions import (
 from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
-    apply_occ_subst, as_iff, is_circular, mk_imp, occurrences, parse_form,
-    postorder, text_of_batch, text_of_form,
+    ParseError, apply_occ_subst, as_iff, is_circular, mk_imp, occurrences,
+    parse_batch, parse_form, postorder, text_of_batch, text_of_form,
 )
 
 __all__ = [
@@ -223,39 +223,56 @@ def verify_proof(lines) -> ProofOutcome:
 
 
 def proof_to_json(lines) -> str:
-    """The proof file of the lines; their formulas are printed as one batch,
-    so a subformula the lines share is printed once."""
+    """The proof file of the lines, as `json.dumps(..., indent=2)` lays it
+    out.  Each value is encoded on its own, which takes the C encoder, and
+    the formulas are printed as one batch, so a subformula the lines share
+    is printed once."""
     lines = list(lines)
-    data = []
+    entries = []
     for line, text in zip(lines, text_of_batch(line.formula for line in lines)):
-        entry: dict = {"formula": text, "rule": line.rule}
+        fields = [f'"formula": {json.dumps(text)}', f'"rule": {json.dumps(line.rule)}']
         if line.refs:
-            entry["refs"] = list(line.refs)
+            refs = ",\n".join(f"      {json.dumps(ref)}" for ref in line.refs)
+            fields.append(f'"refs": [\n{refs}\n    ]')
         if line.agent is not None:
-            entry["agent"] = line.agent
-        data.append(entry)
-    return json.dumps(data, indent=2) + "\n"
+            fields.append(f'"agent": {json.dumps(line.agent)}')
+        entries.append("  {\n    " + ",\n    ".join(fields) + "\n  }")
+    return ("[\n" + ",\n".join(entries) + "\n]\n") if entries else "[]\n"
 
 
 def proof_from_json(text: str) -> list[ProofLine]:
-    """The lines of a proof file; a wrong shape raises ValueError naming the field."""
-    lines = []
-    for no, entry in enumerate(json_typed(json.loads(text), list, "a proof file"), start=1):
-        where = f"proof line {no}"
-        json_typed(entry, dict, where)
-        try:
-            formula, rule = entry["formula"], entry["rule"]
-        except KeyError as e:
-            raise ValueError(f"{where} is missing key {e}") from None
-        agent = entry.get("agent")
-        lines.append(ProofLine(
-            formula=parse_form(json_typed(formula, str, f'{where}: "formula"')),
-            rule=json_typed(rule, str, f'{where}: "rule"'),
-            refs=tuple(json_typed(ref, int, f'{where}: each of "refs"')
-                       for ref in json_typed(entry.get("refs", []), list, f'{where}: "refs"')),
-            agent=None if agent is None else json_typed(agent, str, f'{where}: "agent"'),
-        ))
-    return lines
+    """The lines of a proof file; a wrong shape or a formula that does not
+    parse raises ValueError naming the line and the field.
+
+    The formulas are parsed as one batch, so a subformula that the lines
+    repeat is read once and is one object in all of them.  The batch takes
+    each line's formula only after the earlier lines are checked and parsed,
+    so the first bad line is the one reported.
+    """
+    fields = []  # (rule, refs, agent) of each line whose formula has parsed
+
+    def formulas():
+        for no, entry in enumerate(json_typed(json.loads(text), list, "a proof file"), start=1):
+            where = f"proof line {no}"
+            json_typed(entry, dict, where)
+            try:
+                formula, rule = entry["formula"], entry["rule"]
+            except KeyError as e:
+                raise ValueError(f"{where} is missing key {e}") from None
+            yield json_typed(formula, str, f'{where}: "formula"')
+            agent = entry.get("agent")
+            fields.append((
+                json_typed(rule, str, f'{where}: "rule"'),
+                tuple(json_typed(ref, int, f'{where}: each of "refs"')
+                      for ref in json_typed(entry.get("refs", []), list, f'{where}: "refs"')),
+                None if agent is None else json_typed(agent, str, f'{where}: "agent"'),
+            ))
+
+    try:
+        forms = parse_batch(formulas())
+    except ParseError as e:
+        raise ValueError(f'proof line {len(fields) + 1}: "formula": {e}') from None
+    return [ProofLine(formula, *rest) for formula, rest in zip(forms, fields)]
 
 
 # ---------------------------------------------------------------------------

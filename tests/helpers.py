@@ -7,9 +7,12 @@ reproducible from the seeds pinned in the tests.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
 
+from paldef.definitions import DInput, literal_sat, parse_literal_lines
 from paldef.models import Model, Premodel, eval_bool, unravel, validate
+from paldef.proof import proof_to_json, witness_to_proof
 from paldef.syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
     apply_occ_subst, length, occurrences, vocabulary,
@@ -574,3 +577,51 @@ def enumerate_depth1_forms(atoms, agent: str, max_len: int) -> list[Form]:
     depth0 = build(None)
     depth1 = build(depth0)
     return [f for row in depth1 for f in row]
+
+
+# ---------------------------------------------------------------------------
+# The literal sets whose witnesses and proofs TestWitnessDigest pins
+
+def _digest_bool(rng, size):
+    if size <= 1 or rng.random() < 0.25:
+        return rng.choice("abcde")
+    if rng.random() < 0.35:
+        return "~" + _digest_bool(rng, size - 1)
+    k = rng.randint(1, size - 1)
+    return f"({_digest_bool(rng, k)} & {_digest_bool(rng, size - k)})"
+
+
+def witness_digest_corpus():
+    """1,500 seeded literal sets (about 30% of lines atom-to-atom unions), the
+    second-occurrence example under every renaming and line order, the
+    circular chains n = 2..24 and a 2-cycle with 25 unrelated definitions."""
+    rng = random.Random(2024)
+    for _ in range(1500):
+        yield [f"{rng.choice('abcde')} == "
+               + (rng.choice("abcde") if rng.random() < 0.3
+                  else _digest_bool(rng, rng.randint(2, 6)))
+               for _ in range(rng.randint(2, 6))]
+    # random sets almost never substitute at a later occurrence; these do
+    template = ["c == ~(d & a)", "a == ~d", "a == ~(c & b)"]
+    for names in itertools.permutations("abcd"):
+        renaming = str.maketrans("abcd", "".join(names))
+        for lines in itertools.permutations(template):
+            yield [line.translate(renaming) for line in lines]
+    for n in range(2, 25):
+        yield [f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)]
+    yield ["x0 == (x1 & r)", "x1 == (x0 & r)"] + [f"y{k} == ~z{k}" for k in range(25)]
+
+
+@lru_cache(maxsize=None)
+def witness_proof_files() -> tuple[str, ...]:
+    """The proof file of each circular set of witness_digest_corpus, built
+    from the premises its witness uses: 1,234 files."""
+    files = []
+    for lines in witness_digest_corpus():
+        equivs, _ = parse_literal_lines("\n".join(lines))
+        res = literal_sat(equivs)
+        if res.witness is not None:
+            used = res.witness.inputs()
+            premises = [l for l in equivs if DInput(l.left, l.right) in used]
+            files.append(proof_to_json(witness_to_proof(res.witness, premises)))
+    return tuple(files)

@@ -219,6 +219,17 @@ class TestMalformedFiles:
         (("validate",), _fig1_with(("relations", "i"), {"left": "left"}), '"relations" of i'),
         (("validate",), _fig1_with(("vocabulary",), ["p", "q", "r", "p"]), "duplicate vocabulary"),
         (("validate",), _fig1_with(("agents",), ["i", "i"]), "duplicate agents"),
+        (("prove-verify",), _line(formula="p -> "), 'proof line 1: "formula": expected a formula'),
+        # the first bad line is reported, whatever is wrong with it
+        (("prove-verify",), _line() + _line(formula="(p") + _line(refs="ab"),
+         'proof line 2: "formula": expected \')\''),
+        (("prove-verify",), _line() + _line(refs="ab") + _line(formula="(p"),
+         'proof line 2: "refs"'),
+        (("prove-verify",), _line(formula="((p -> p) & (q | r))") + [{"formula": "p"}],
+         'proof line 2 is missing key'),
+        (("prove-verify",), _line(formula="((p -> p) & (q | r))")
+         + _line(formula="((p -> p) & (q | r)) q"),
+         'proof line 2: "formula": expected an operator or the end of the input (at position 21'),
     ])
     def test_wrong_shape_is_an_error_naming_the_field(self, capsys, tmp_path,
                                                        argv, content, field):

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+import paldef.definitions
 from paldef.definitions import (
     CircularityDetected, DefState, DInput, EquivLiteral, PatternClash,
     literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
+from paldef.models import truth
 from paldef.proof import proof_to_json, witness_to_proof
 from paldef.syntax import (
     And, Atom, Neg, apply_simultaneous, is_circular, length, parse_bool,
@@ -18,7 +20,7 @@ from paldef.syntax import (
 
 from helpers import (
     BoundedClosure, _eval_bool_map, all_bools, random_bool, single_world_oracle,
-    truth_table_models,
+    truth_table_models, witness_digest_corpus,
 )
 
 p, q, r, s, t = (Atom(n) for n in "pqrst")
@@ -427,36 +429,6 @@ class TestWitness:
         assert "p == ((p & r) & r)" in text and "circular" in text
 
 
-def _digest_bool(rng, size):
-    if size <= 1 or rng.random() < 0.25:
-        return rng.choice("abcde")
-    if rng.random() < 0.35:
-        return "~" + _digest_bool(rng, size - 1)
-    k = rng.randint(1, size - 1)
-    return f"({_digest_bool(rng, k)} & {_digest_bool(rng, size - k)})"
-
-
-def _digest_corpus():
-    """1,500 seeded literal sets (about 30% of lines atom-to-atom unions), the
-    second-occurrence example under every renaming and line order, the
-    circular chains n = 2..24 and a 2-cycle with 25 unrelated definitions."""
-    rng = random.Random(2024)
-    for _ in range(1500):
-        yield [f"{rng.choice('abcde')} == "
-               + (rng.choice("abcde") if rng.random() < 0.3
-                  else _digest_bool(rng, rng.randint(2, 6)))
-               for _ in range(rng.randint(2, 6))]
-    # random sets almost never substitute at a later occurrence; these do
-    template = ["c == ~(d & a)", "a == ~d", "a == ~(c & b)"]
-    for names in itertools.permutations("abcd"):
-        renaming = str.maketrans("abcd", "".join(names))
-        for lines in itertools.permutations(template):
-            yield [line.translate(renaming) for line in lines]
-    for n in range(2, 25):
-        yield [f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)]
-    yield ["x0 == (x1 & r)", "x1 == (x0 & r)"] + [f"y{k} == ~z{k}" for k in range(25)]
-
-
 class TestWitnessDigest:
     # sha256 over every verdict reason and detail, and for each circular set
     # the witness repr and the proof that defcheck writes for it
@@ -465,7 +437,7 @@ class TestWitnessDigest:
     def test_witness_corpus_is_unchanged(self):
         h = hashlib.sha256()
         circular = later = 0
-        for lines in _digest_corpus():
+        for lines in witness_digest_corpus():
             equivs, _ = parse_literal_lines("\n".join(lines))
             res = literal_sat(equivs)
             h.update(f"{res.reason}|{res.detail}\n".encode())
@@ -480,6 +452,26 @@ class TestWitnessDigest:
         assert h.hexdigest() == self.DIGEST, (
             "the witnesses or their proofs changed; a deliberate change to the "
             "witness shape updates DIGEST and says so in CHANGES.md")
+
+
+class TestGrowth:
+    """Boolean search work at doubling sizes."""
+
+    @pytest.mark.xfail(strict=True, reason="literal_sat enumerates the assignments to the "
+                       "free representatives in a fixed order")
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_unit_constraints_are_decided_without_enumeration(self, monkeypatch, n):
+        calls = []
+
+        def counting_truth(formula, assignment):
+            calls.append(formula)
+            if len(calls) > 4 * n:
+                raise AssertionError(f"more than {4 * n} truth calls")
+            return truth(formula, assignment)
+
+        monkeypatch.setattr(paldef.definitions, "truth", counting_truth)
+        res = literal_sat([], [Atom(f"x{k}") for k in range(n)])
+        assert res.satisfiable and all(res.valuation.values())
 
 
 class TestLiteralParsing:

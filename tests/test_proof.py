@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from paldef import syntax
 from paldef.checker import evaluate
 from paldef.definitions import (
     DInput, DTrans, EquivLiteral, literal_sat, parse_literal_lines,
@@ -17,13 +18,14 @@ from paldef.proof import (
     satisfiable, valid, verify_proof, witness_to_proof,
 )
 from paldef.syntax import (
-    And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, apply_occ_subst,
-    as_imp, mk_imp, mk_or, occurrences, parse_form, text_of_form, vocabulary,
+    And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
+    apply_occ_subst, as_imp, mk_imp, mk_or, occurrences, parse_form, text_of_form,
+    vocabulary,
 )
 
 from helpers import (
     Depth1Oracle, enumerate_depth1_forms, model_pool, random_bool, random_form,
-    skeleton_leaf_count, truth_table_tautology,
+    skeleton_leaf_count, truth_table_tautology, witness_proof_files,
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
@@ -193,6 +195,89 @@ class TestVerifyProof:
         proof = [ProofLine(parse_form("p -> p"), "taut"),
                  ProofLine(parse_form("box i (p -> p)"), "nec", (1,), "i")]
         assert proof_from_json(proof_to_json(proof)) == proof
+
+
+def _file_data(proof) -> list[dict]:
+    """The JSON value of a proof file, built as the entries it holds."""
+    data = []
+    for line in proof:
+        entry = {"formula": text_of_form(line.formula), "rule": line.rule}
+        if line.refs:
+            entry["refs"] = list(line.refs)
+        if line.agent is not None:
+            entry["agent"] = line.agent
+        data.append(entry)
+    return data
+
+
+def _lines_parsed_alone(text: str) -> list[ProofLine]:
+    """The lines of a well-shaped proof file, each formula parsed on its own."""
+    lines = []
+    for no, entry in enumerate(json.loads(text), start=1):
+        try:
+            formula = parse_form(entry["formula"])
+        except ParseError as e:
+            raise ValueError(f'proof line {no}: "formula": {e}') from None
+        lines.append(ProofLine(formula, entry["rule"], tuple(entry.get("refs", ())),
+                               entry.get("agent")))
+    return lines
+
+
+def _outcome(read, text: str) -> str:
+    try:
+        return str(verify_proof(read(text)))
+    except ValueError as e:
+        return f"error: {e}"
+
+
+def _corrupt(rng, data: list[dict]) -> list[dict]:
+    """data with one line's formula, refs or rule damaged."""
+    data = [dict(entry) for entry in data]
+    entry = rng.choice(data)
+    kind = rng.randrange(4)
+    if kind == 0:
+        tokens = syntax._TOKEN_RE.findall(entry["formula"])
+        del tokens[rng.randrange(len(tokens))]
+        entry["formula"] = " ".join("".join(token) for token in tokens)
+    elif kind == 1:
+        entry["formula"] = rng.choice(data)["formula"]
+    elif kind == 2:
+        entry["refs"] = [rng.randint(0, len(data)) for _ in range(rng.randint(1, 2))]
+    else:
+        entry["rule"] = rng.choice(["axiom", "taut", "mp", "nec"])
+    return data
+
+
+class TestProofFiles:
+    def test_files_are_laid_out_as_the_json_module_lays_them_out(self):
+        proofs = [
+            [],
+            [ProofLine(parse_form("p -> p"), "taut")],
+            [ProofLine(parse_form("p -> p"), "taut"),
+             ProofLine(parse_form("box i (p -> p)"), "nec", (1,), "i"),
+             ProofLine(parse_form("kd j (p & ~q)"), "mp", (1, 2, 3, 10, 200)),
+             ProofLine(parse_form("p == q"), 'a "rule" \\ \u00e9\n', (), "agent \u2203")],
+        ]
+        rng = random.Random(51)
+        files = witness_proof_files()
+        for text in rng.sample(files, 20) + list(files[-3:]):
+            proofs.append(proof_from_json(text))
+        for proof in proofs:
+            assert proof_to_json(proof) == json.dumps(_file_data(proof), indent=2) + "\n"
+
+    def test_batch_parsed_files_get_the_verdicts_of_lines_parsed_alone(self):
+        rng = random.Random(53)
+        files = witness_proof_files()
+        # a sample, and the longest chains, which the tautology budget rejects
+        rejected = 0
+        for text in rng.sample(files, 150) + list(files[-8:]):
+            data = json.loads(text)
+            for copy in (data, _corrupt(rng, data), _corrupt(rng, data)):
+                text = json.dumps(copy, indent=2)
+                outcome = _outcome(proof_from_json, text)
+                assert outcome == _outcome(_lines_parsed_alone, text)
+                rejected += outcome != "ok"
+        assert rejected > 200
 
 
 class TestReduce:
@@ -526,3 +611,29 @@ def _lemma(line, premises):
         rest = rest.right
     conjuncts.append(rest)
     return (hypothesis, parts[1]) if all(c in premises for c in conjuncts) else None
+
+
+class TestGrowth:
+    """Parser work at doubling sizes.  Each line of a circular chain's proof
+    repeats earlier lines' premise conjunctions and lemmas as parenthesized
+    spans, so its file holds about n^2 tokens: 12,230, 43,118 and 160,190 at
+    n = 12, 24 and 48.  Reading each repeated span once reads 7-9% of them."""
+
+    @pytest.mark.parametrize("n", [12, 24, 48])
+    def test_a_proof_file_reads_each_repeated_span_once(self, monkeypatch, n):
+        equivs, _ = parse_literal_lines("\n".join(f"x{k} == (x{(k + 1) % n} & r)"
+                                                  for k in range(n)))
+        text = proof_to_json(witness_to_proof(literal_sat(equivs).witness, equivs))
+        tokens = syntax._TOKEN_RE
+        in_file = sum(len(tokens.findall(entry["formula"])) for entry in json.loads(text))
+        read = []
+
+        class CountingTokens:
+            def finditer(self, string, pos=0):
+                for m in tokens.finditer(string, pos):
+                    read.append(m.end())
+                    yield m
+
+        monkeypatch.setattr(syntax, "_TOKEN_RE", CountingTokens())
+        assert len(proof_from_json(text)) == 6 * n - 1
+        assert len(read) <= in_file // 10

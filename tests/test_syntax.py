@@ -1,6 +1,8 @@
 """Parser, printer, and syntactic-measure tests."""
 
+import functools
 import hashlib
+import json
 import random
 import re
 
@@ -13,15 +15,15 @@ from paldef.definitions import DefState, EquivLiteral, literal_sat, parse_litera
 from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
     And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
-    apply_occ_subst, apply_simultaneous, form_agents, form_vocabulary,
+    apply_occ_subst, apply_simultaneous, as_or, form_agents, form_vocabulary,
     is_circular, leaves, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
-    occurrences, parse_bool, parse_form, postorder, substitute, text_of_batch,
-    text_of_bool, text_of_form, vocabulary,
+    occurrences, parse_batch, parse_bool, parse_form, postorder, substitute,
+    text_of_batch, text_of_bool, text_of_form, vocabulary,
 )
 
 from helpers import (
     all_bools, random_bool, random_form, sequential_simultaneous,
-    ATOMS, AGENTS,
+    witness_proof_files, ATOMS, AGENTS,
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
@@ -515,6 +517,94 @@ class TestBatchPrinter:
                  "~" * 100_000 + "p"]
         assert text_of_batch(batch) == texts
         assert text_of_batch(batch, sugar=False) == texts
+
+
+def _reprs(forms) -> list[str]:
+    return [repr(f) for f in forms]
+
+
+def _error(parse, text: str):
+    """(message, position) of the ParseError that parse raises on text."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value), err.value.pos
+
+
+class TestBatchParser:
+    def test_witness_proofs_parse_as_one_formula_at_a_time(self):
+        for text in witness_proof_files():
+            texts = [entry["formula"] for entry in json.loads(text)]
+            assert _reprs(parse_batch(texts)) == _reprs(map(parse_form, texts))
+
+    def test_random_batches_parse_as_one_formula_at_a_time(self, monkeypatch):
+        hits = []
+        find = syntax._SpanMemo.find
+
+        def counting_find(memo, text, pos):
+            known = find(memo, text, pos)
+            hits.append(known is not None)
+            return known
+
+        monkeypatch.setattr(syntax._SpanMemo, "find", counting_find)
+        accepted = list(_split_corpus()[0])
+        rng = random.Random(43)
+        rng.shuffle(accepted)
+        while accepted:
+            batch = [accepted.pop() for _ in range(min(len(accepted), rng.randint(1, 60)))]
+            # texts that repeat earlier ones as parenthesized spans
+            batch += [f"(({rng.choice(batch)}) {rng.choice(['&', '->', '<->'])} "
+                      f"~({rng.choice(batch)}))" for _ in range(rng.randint(0, 20))]
+            assert _reprs(parse_batch(batch)) == _reprs(map(parse_form, batch))
+        assert sum(hits) > 1_000
+
+    def test_rejected_texts_fail_as_alone_after_a_full_memo(self):
+        accepted, rejected = _split_corpus()
+        memo = syntax._SpanMemo()
+        for text in accepted:
+            syntax._parse(text, memo)
+        for text in rejected:
+            assert _error(lambda t: syntax._parse(t, memo), text) == _error(parse_form, text)
+        for text in rejected[::2000]:
+            assert _error(lambda t: parse_batch([*accepted, t]), text) == \
+                _error(parse_form, text)
+
+    def test_a_loose_span_reused_under_strict_operators_fails_where_it_stands(self):
+        # a modal span, a bare conjunction in two pairs of parentheses, and a
+        # strict conjunction that `!=` then takes as it is
+        for span in ("(box i p & (q & r))", "(((p & q) & (r & s)))", "((p & q) & (r & ~s))"):
+            first, again = parse_batch([f"q | {span}", f"~{span}"])
+            assert again.inner is as_or(first)[1]
+            for later in (f"kd i {span}", f"p & kx j {span}", f"({span} == q)",
+                          f"(p != {span})", f"(p := {span})", f"[q] (r := {span})",
+                          f"kd i ({span})", f"(({span}) == q)", f"~({span} & p)"):
+                batch = [f"q | {span}", f"~{span}", later]
+                try:
+                    alone = _reprs([parse_form(later)])
+                except ParseError:
+                    assert _error(parse_batch, batch) == _error(parse_form, later)
+                else:
+                    assert _reprs(parse_batch(batch)[2:]) == alone
+
+    def test_a_deep_span_shared_by_two_lines_has_no_recursion_limit(self):
+        # printing is one-to-one on trees, and both texts are printed forms
+        deep = "(" * 30_000 + "p" + " & q)" * 30_000
+        first, second = parse_batch([deep, f"~{deep} & {deep}"])
+        assert text_of_form(first) == text_of_form(parse_form(deep)) == deep
+        assert text_of_form(second) == f"(~{deep} & {deep})"
+
+
+@functools.lru_cache(maxsize=None)
+def _split_corpus() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The texts of the parse corpus that parse_form accepts, and the rest."""
+    split = ([], [])
+    for text in _parse_corpus():
+        try:
+            parse_form(text)
+        except ParseError:
+            split[1].append(text)
+        else:
+            split[0].append(text)
+    return tuple(split[0]), tuple(split[1])
 
 
 _TOKENS = ("p", "q", "r", "i", "box", "kd", "kx", "~", "&", "|", "->", "<->",

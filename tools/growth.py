@@ -8,8 +8,9 @@ definitions nest, so its text grows as n squared.  Printed as one batch
 
 circular n = 3 ... 24, `x_k == (x_{(k+1) mod n} & r)`: the witness proof,
 its lines and characters, and the time to print it (`proof_to_json`), parse
-it back (`proof_from_json`) and verify it (`verify_proof`, which rejects
-chains past 18 steps for the tautology budget).
+it back (`proof_from_json`, one batch), parse its formulas one line at a
+time with `parse_form`, and verify it (`verify_proof`, which rejects chains
+past 18 steps for the tautology budget).
 
 Times are the least of N runs, in milliseconds, on this process's machine.
 """
@@ -20,7 +21,7 @@ import time
 
 from paldef.definitions import literal_sat, parse_literal_lines
 from paldef.proof import proof_from_json, proof_to_json, verify_proof, witness_to_proof
-from paldef.syntax import text_of_batch, text_of_bool
+from paldef.syntax import parse_form, text_of_batch, text_of_bool
 
 LINEAR = (100, 200, 400, 800, 1600)
 CIRCULAR = (3, 6, 12, 18, 19, 24)
@@ -52,16 +53,20 @@ def linear_rows(repeat: int):
 
 
 def circular_rows(repeat: int):
-    yield ("circular n", "lines", "chars", "print ms", "parse ms", "verify ms", "verdict")
+    yield ("circular n", "lines", "chars", "print ms", "batch parse ms",
+           "one at a time ms", "verify ms", "verdict")
     for n in CIRCULAR:
         equivs = literals([f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)])
         proof = witness_to_proof(literal_sat(equivs).witness, equivs)
         text, printing = best_ms(repeat, lambda: proof_to_json(proof))
         parsed, parsing = best_ms(repeat, lambda: proof_from_json(text))
+        formulas = [line["formula"] for line in json.loads(text)]
+        single, single_parsing = best_ms(repeat, lambda: [parse_form(f) for f in formulas])
+        assert single == [line.formula for line in parsed]
         outcome, verifying = best_ms(repeat, lambda: verify_proof(parsed))
-        chars = sum(len(line["formula"]) for line in json.loads(text))
-        yield (n, len(proof), chars, f"{printing:.2f}", f"{parsing:.2f}",
-               f"{verifying:.2f}", "ok" if outcome.ok else f"line {outcome.line}")
+        yield (n, len(proof), sum(map(len, formulas)), f"{printing:.2f}", f"{parsing:.2f}",
+               f"{single_parsing:.2f}", f"{verifying:.2f}",
+               "ok" if outcome.ok else f"line {outcome.line}")
 
 
 def show(rows) -> None:
