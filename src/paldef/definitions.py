@@ -5,11 +5,15 @@ atoms act as variables, `~` and `&` as constructors.  A ``DefState`` holds a
 union-find partition of atoms (representative = alphabetically least) plus at
 most one binding image per class; each union edge and binding keeps its
 justification and the sequence number of the event that recorded it.  The
-pattern axioms of the logic are exactly the decomposition and clash rules of
-unification; the occurs check realises non-circularity, and on failure a
-``CircularWitness`` is extracted from the recorded justifications: a
+union edges form a proof forest (Nieuwenhuis and Oliveras 2007, "Fast
+congruence closure and extensions"), so the path between two atoms of a class
+is unique.  The pattern axioms of the logic are exactly the decomposition and
+clash rules of unification; the occurs check realises non-circularity, and on
+failure a ``CircularWitness`` is extracted from the recorded justifications: a
 substitution chain that derives an explicitly circular equivalence from the
-asserted literals.
+asserted literals.  Unions cost near-constant amortized work (union by size),
+an occurs check at most about twice the smaller of the two sides it searches,
+and a derivation through a union path is written out only for a witness.
 
 States are values: `assert_equiv` returns a new state and never mutates the
 receiver, so distinct states may be used concurrently.
@@ -17,6 +21,7 @@ receiver, so distinct states may be used concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from collections import Counter
@@ -283,6 +288,20 @@ class _Binding:
     just: Derivation
     seq: int
 
+    @functools.cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The distinct atoms of the image, left to right."""
+        return tuple(dict.fromkeys(leaves(self.image)))
+
+
+@dataclass(frozen=True, eq=False)
+class _Pending:
+    """The derivation of (first.image == second.image) for two bindings of one
+    class, written out by _force through the union path between the owners."""
+
+    first: _Binding
+    second: _Binding
+
 
 @dataclass
 class DefState:
@@ -292,9 +311,17 @@ class DefState:
     literal_sat builds for one call; resolve only fills a cache.
     """
 
+    # union-find, union by size: each atom but a root has a parent, and the
+    # root of a class of two or more atoms has (size, least-named atom)
     _parent: dict[Atom, Atom] = field(default_factory=dict)
-    _bindings: dict[Atom, _Binding] = field(default_factory=dict)
-    _edges: dict[Atom, list[tuple[Atom, Derivation, int]]] = field(default_factory=dict)
+    _roots: dict[Atom, tuple[int, Atom]] = field(default_factory=dict)
+    _bindings: dict[Atom, _Binding] = field(default_factory=dict)  # by class rep
+    # class rep -> the bindings whose image mentions the class; a binding
+    # that no longer holds for its class is skipped when read
+    _users: dict[Atom, list[_Binding]] = field(default_factory=dict)
+    # the union edges as a proof forest: atom -> (parent, just for
+    # atom == parent, seq); the path between two atoms is unique
+    _edges: dict[Atom, tuple[Atom, Derivation, int]] = field(default_factory=dict)
     _events: int = 0  # union and bind events recorded so far
     # resolved image per class representative, filled lazily by resolve; a
     # state never changes after assert_equiv returns it, and literal_sat
@@ -303,10 +330,18 @@ class DefState:
 
     # -- structure ----------------------------------------------------------
 
-    def rep(self, a: Atom) -> Atom:
-        while a in self._parent:
-            a = self._parent[a]
+    def _root(self, a: Atom) -> Atom:
+        parent = self._parent
+        while a in parent:
+            a = parent[a]
         return a
+
+    def rep(self, a: Atom) -> Atom:
+        """The least-named atom of a's class."""
+        root = self._root(a)
+        if self._roots:  # no lookup (an Atom hash) while every class is one atom
+            root = self._roots.get(root, (1, root))[1]
+        return root
 
     def bindings(self) -> dict[Atom, BoolForm]:
         """Current binding map, keyed by class representative."""
@@ -314,9 +349,8 @@ class DefState:
 
     def _copy(self) -> "DefState":
         return DefState(
-            dict(self._parent),
-            dict(self._bindings),
-            {a: list(edges) for a, edges in self._edges.items()},
+            dict(self._parent), dict(self._roots), dict(self._bindings),
+            {c: list(users) for c, users in self._users.items()}, dict(self._edges),
             self._events,
         )
 
@@ -329,28 +363,32 @@ class DefState:
         CircularityDetected (with witness) when the occurs check fails.
         """
         new = self._copy()
-        new._consume([(left, right, DInput(left, right))])
+        new._consume(left, right, DInput(left, right))
         return new
 
-    def _consume(self, pairs: list[tuple[BoolForm, BoolForm, Derivation]]) -> None:
-        queue = list(pairs)
-        while queue:
-            a, b, just = queue.pop(0)
-            if a == b:
+    def _consume(self, left: BoolForm, right: BoolForm, just: Derivation) -> None:
+        """Unify left and right.  The pairs each step yields are pushed in
+        reverse, so they are done first and in order.  A pair of equal but
+        distinct formulas decomposes into unions within one class, which
+        record nothing."""
+        stack = [(left, right, just)]
+        while stack:
+            a, b, just = stack.pop()
+            if a is b:
                 continue
             match (a, b):
                 case (Atom(), Atom()):
-                    queue[:0] = self._union(a, b, just)
+                    stack += self._union(a, b, just)
                 case (Atom(), _):
-                    queue[:0] = self._bind(a, b, just)
+                    stack += self._bind(a, b, just)
                 case (_, Atom()):
-                    queue[:0] = self._bind(b, a, d_sym(just))
+                    stack += self._bind(b, a, d_sym(just))
                 case (Neg(x), Neg(y)):
-                    queue.insert(0, (x, y, DNegParts(x, y, just)))
+                    stack.append((x, y, DNegParts(x, y, just)))
                 case (And(x1, x2), And(y1, y2)):
-                    queue[:0] = [
-                        (x1, y1, DAndParts(x1, y1, just, 0)),
+                    stack += [
                         (x2, y2, DAndParts(x2, y2, just, 1)),
+                        (x1, y1, DAndParts(x1, y1, just, 0)),
                     ]
                 case _:
                     if isinstance(a, Neg):
@@ -358,15 +396,32 @@ class DefState:
                     raise PatternClash(b, a)
 
     def _union(self, a: Atom, b: Atom, just: Derivation):
-        ra, rb = self.rep(a), self.rep(b)
-        if ra == rb:
+        root_a, root_b = self._root(a), self._root(b)
+        if root_a == root_b:
             return []
         seq = self._events
         self._events += 1
-        self._edges.setdefault(a, []).append((b, just, seq))
-        self._edges.setdefault(b, []).append((a, d_sym(just), seq))
+        size_a, ra = self._roots.get(root_a, (1, root_a))
+        size_b, rb = self._roots.get(root_b, (1, root_b))
+        # hang the smaller class's proof tree, re-rooted at its end of the edge
+        if size_a <= size_b:
+            self._reroot(a)
+            self._edges[a] = (b, just, seq)
+            small, big = root_a, root_b
+        else:
+            self._reroot(b)
+            self._edges[b] = (a, d_sym(just), seq)
+            small, big = root_b, root_a
         keep, lose = (ra, rb) if ra.name < rb.name else (rb, ra)
-        self._parent[lose] = keep
+        self._parent[small] = big
+        self._roots.pop(small, None)
+        self._roots[big] = (size_a + size_b, keep)
+        kept_users, lost_users = self._users.get(keep, []), self._users.pop(lose, [])
+        if len(kept_users) < len(lost_users):  # the shorter list joins the longer
+            kept_users, lost_users = lost_users, kept_users
+        if kept_users:
+            kept_users += lost_users
+            self._users[keep] = kept_users
         pending = []
         lost_binding = self._bindings.pop(lose, None)
         if lost_binding is not None:
@@ -376,60 +431,80 @@ class DefState:
             else:
                 first, second = sorted((kept_binding, lost_binding), key=lambda x: x.seq)
                 self._bindings[keep] = first
-                pending.append(self._image_pair(first, second))
+                pending.append((first.image, second.image, _Pending(first, second)))
         self._occurs_check(keep)
         return pending
 
     def _bind(self, a: Atom, image: BoolForm, just: Derivation):
         r = self.rep(a)
+        binding = _Binding(a, image, just, self._events)
         existing = self._bindings.get(r)
         if existing is not None:
-            candidate = _Binding(a, image, just, self._events)
-            return [self._image_pair(existing, candidate)]
-        self._bindings[r] = _Binding(a, image, just, self._events)
+            return [(existing.image, image, _Pending(existing, binding))]
+        self._bindings[r] = binding
         self._events += 1
+        for x in binding.atoms:
+            self._users.setdefault(self.rep(x), []).append(binding)
         self._occurs_check(r)
         return []
 
-    def _image_pair(self, first: _Binding, second: _Binding):
-        """Pending pair equating two images asserted for the same class."""
-        d = d_sym(first.just)  # image1 == owner1
-        path = [just for _, _, just, _ in self._path_edges(first.owner, second.owner)]
-        if path:
-            d = d_trans(d, functools.reduce(d_trans, path))  # ... == owner2
-        d = d_trans(d, second.just)  # ... == image2
-        return (first.image, second.image, d)
+    def _reroot(self, x: Atom) -> None:
+        """Make x the root of its proof tree by reversing the edges above it."""
+        edges = self._edges
+        entry = edges.pop(x, None)
+        while entry is not None:
+            parent, just, seq = entry
+            entry = edges.get(parent)
+            edges[parent] = (x, d_sym(just), seq)
+            x = parent
 
-    def _path_edges(self, x: Atom, y: Atom) -> list[tuple[Atom, Atom, Derivation, int]]:
-        """Union edges along the path x .. y as (from, to, just-for(from==to), seq).
+    def _path(self, x: Atom, y: Atom) -> list[tuple[Atom, Atom, Derivation, int]]:
+        """Union edges along the path x .. y as (from, to, just-for(from==to), seq):
+        up from x to the nearest common ancestor, then down to y."""
+        edges = self._edges
+        above_x = [x]
+        while above_x[-1] in edges:
+            above_x.append(edges[above_x[-1]][0])
+        depth = {a: k for k, a in enumerate(above_x)}
+        above_y = [y]
+        while above_y[-1] not in depth:
+            above_y.append(edges[above_y[-1]][0])
+        path = [(u, *edges[u]) for u in above_x[:depth[above_y[-1]]]]
+        for v in reversed(above_y[:-1]):
+            to, just, seq = edges[v]
+            path.append((to, v, d_sym(just), seq))
+        return path
 
-        Union edges only join different classes, so they form a forest and
-        the path is unique.
-        """
-        if x == y:
-            return []
-        prev: dict[Atom, tuple[Atom, Derivation, int]] = {x: (x, None, -1)}
-        frontier = [x]
-        while frontier:
-            u = frontier.pop(0)
-            for v, just, seq in self._edges.get(u, []):
-                if v in prev:
-                    continue
-                prev[v] = (u, just, seq)
-                if v == y:
-                    frontier = []
-                    break
-                frontier.append(v)
-        if y not in prev:
-            raise ValueError(f"no union path between {x} and {y}")
-        edges = []
-        node = y
-        while node != x:
-            u, just, seq = prev[node]
-            edges.append((u, node, just, seq))
-            node = u
-        edges.reverse()
-        return edges
+    def _force(self, d: Derivation, memo: dict) -> Derivation:
+        """d with each pending image pair written out as its d_trans chain:
+        the first image back to its owner, the union path on to the second
+        owner, then to the second image.  memo maps id(node) to (node, forced
+        node), which keeps every node it names alive."""
+        todo = [(d, None)]
+        while todo:
+            node, parts = todo.pop()
+            if id(node) in memo:
+                continue
+            if parts is None:  # list the parts, force them, then come back
+                if type(node) is DInput:
+                    parts = []
+                elif type(node) is _Pending:
+                    path = self._path(node.first.owner, node.second.owner)
+                    parts = [node.first.just, *(just for _, _, just, _ in path), node.second.just]
+                else:
+                    parts = [node.of]
+                todo += [(node, parts)] + [(part, None) for part in parts]
+                continue
+            done = [memo[id(part)][1] for part in parts]
+            if type(node) is _Pending:
+                chain = d_sym(done[0])
+                if len(done) > 2:
+                    chain = d_trans(chain, functools.reduce(d_trans, done[1:-1]))
+                forced = d_trans(chain, done[-1])
+            else:
+                forced = dataclasses.replace(node, of=done[0]) if done else node
+            memo[id(node)] = (node, forced)
+        return memo[id(d)][1]
 
     # -- occurs check and witness extraction ---------------------------------
 
@@ -437,14 +512,15 @@ class DefState:
         """Raise CircularityDetected if class `changed` now depends on itself.
 
         The state had no cycle before the event that changed this class, so
-        every new cycle passes through it.  The depth-first search visits
-        dependencies in name order, which fixes the cycle it reports.
+        every new cycle passes through it.  A two-way search decides whether
+        there is one; only then does a depth-first search, visiting
+        dependencies in name order, fix the cycle it reports.
         """
-        if changed not in self._bindings:
+        if changed not in self._bindings or not self._reaches_itself(changed):
             return
         seen = {changed}
         path = [changed]
-        branches = [iter(self._dependencies(changed))]
+        branches = [iter(sorted(set(self._dependencies(changed))))]
         while branches:
             for nxt in branches[-1]:
                 if nxt == changed:
@@ -452,16 +528,51 @@ class DefState:
                 if nxt not in seen and nxt in self._bindings:
                     seen.add(nxt)
                     path.append(nxt)
-                    branches.append(iter(self._dependencies(nxt)))
+                    branches.append(iter(sorted(set(self._dependencies(nxt)))))
                     break
             else:
                 path.pop()
                 branches.pop()
 
+    def _reaches_itself(self, changed: Atom) -> bool:
+        """Whether class `changed` depends on itself.
+
+        One step forward over dependencies alternates with one step backward
+        over dependents; the search stops when the two sides meet (a cycle)
+        or either side has nothing left to expand (none), so it expands at
+        most about twice as many classes as the smaller side holds (Bender,
+        Fineman, Gilbert and Tarjan 2016, "A new approach to incremental
+        cycle detection and related problems").
+        """
+        ahead, behind = {changed}, {changed}
+        forward, backward = [changed], [changed]
+        while forward and backward:
+            for c in self._dependencies(forward.pop()):
+                if c in behind:
+                    return True
+                if c not in ahead and c in self._bindings:
+                    ahead.add(c)
+                    forward.append(c)
+            for c in self._dependents(backward.pop()):
+                if c in ahead:
+                    return True
+                if c not in behind:
+                    behind.add(c)
+                    backward.append(c)
+        return False
+
     def _dependencies(self, r: Atom) -> list[Atom]:
-        """Classes whose atoms occur in the binding image of class r, by name."""
-        targets = {self.rep(a) for a in vocabulary(self._bindings[r].image)}
-        return sorted(targets, key=lambda a: a.name)
+        """Classes whose atoms occur in the binding image of class r."""
+        return [self.rep(a) for a in self._bindings[r].atoms]
+
+    def _dependents(self, c: Atom) -> list[Atom]:
+        """Classes whose binding image mentions class c."""
+        found = []
+        for binding in self._users.get(c, ()):
+            owner = self.rep(binding.owner)
+            if self._bindings.get(owner) is binding:
+                found.append(owner)
+        return found
 
     def _extract_witness(self, cycle: list[Atom]) -> CircularWitness:
         """Build a replayable circular derivation from a class-level cycle.
@@ -487,7 +598,7 @@ class DefState:
             atoms = leaves(binds[i].image)
             k = first_leaf_of(atoms, cycle[(i + 1) % m])
             entries.append(k)
-            paths.append(self._path_edges(atoms[k], binds[(i + 1) % m].owner))
+            paths.append(self._path(atoms[k], binds[(i + 1) % m].owner))
 
         candidates = [("bind", i, binds[i].seq) for i in range(m)]
         for i in range(m):
@@ -496,11 +607,12 @@ class DefState:
         kind, where, _ = min(candidates, key=lambda c: c[2])
 
         steps: list[WitnessStep] = []
+        memo: dict = {}
 
         def substitute(S: BoolForm, pos: int, premise: Derivation) -> BoolForm:
             atoms = leaves(S)
             sub = OccSubst(atoms[:pos + 1].count(atoms[pos]), premise.left, premise.right)
-            steps.append(WitnessStep(premise, sub))
+            steps.append(WitnessStep(self._force(premise, memo), sub))
             return apply_occ_subst(sub, S)
 
         if kind == "bind":
@@ -521,7 +633,7 @@ class DefState:
                 atoms = leaves(S)
                 hit = first_leaf_of(atoms, home)
                 if hit is not None:
-                    for _, _, just, _ in self._path_edges(atoms[hit], x0):
+                    for _, _, just, _ in self._path(atoms[hit], x0):
                         S = substitute(S, hit, just)
                     break
             for _, _, just, _ in pending:
@@ -533,7 +645,7 @@ class DefState:
             next_class = (k + 1) % m
 
         conclusion = EquivLiteral(True, x0, S)
-        witness = CircularWitness(base, tuple(steps), conclusion)
+        witness = CircularWitness(self._force(base, memo), tuple(steps), conclusion)
         witness.replay()
         return witness
 
@@ -601,7 +713,7 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
         if not lit.positive:
             continue
         try:
-            state._consume([(lit.left, lit.right, DInput(lit.left, lit.right))])
+            state._consume(lit.left, lit.right, DInput(lit.left, lit.right))
         except PatternClash as e:
             return SatCheck(False, "pattern-clash", f"{lit}: {e}")
         except CircularityDetected as e:
@@ -633,7 +745,7 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
             for rep in state._resolved:
                 binding = state._bindings.get(rep)
                 values[rep] = assignment[rep] if binding is None else truth(
-                    binding.image, {a: values[state.rep(a)] for a in vocabulary(binding.image)})
+                    binding.image, {a: values[state.rep(a)] for a in binding.atoms})
             valuation = {a: values[state.rep(a)] for a in vocab_sorted}
             return SatCheck(True, definitions=resolved, valuation=valuation)
     return SatCheck(False, "boolean", "no assignment to the class representatives satisfies "

@@ -582,13 +582,13 @@ def enumerate_depth1_forms(atoms, agent: str, max_len: int) -> list[Form]:
 # ---------------------------------------------------------------------------
 # The literal sets whose witnesses and proofs TestWitnessDigest pins
 
-def _digest_bool(rng, size):
+def _digest_bool(rng, size, names="abcde"):
     if size <= 1 or rng.random() < 0.25:
-        return rng.choice("abcde")
+        return rng.choice(names)
     if rng.random() < 0.35:
-        return "~" + _digest_bool(rng, size - 1)
+        return "~" + _digest_bool(rng, size - 1, names)
     k = rng.randint(1, size - 1)
-    return f"({_digest_bool(rng, k)} & {_digest_bool(rng, size - k)})"
+    return f"({_digest_bool(rng, k, names)} & {_digest_bool(rng, size - k, names)})"
 
 
 def witness_digest_corpus():
@@ -610,6 +610,44 @@ def witness_digest_corpus():
     for n in range(2, 25):
         yield [f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)]
     yield ["x0 == (x1 & r)", "x1 == (x0 & r)"] + [f"y{k} == ~z{k}" for k in range(25)]
+
+
+def seed_digest_corpus():
+    """Every set of witness_digest_corpus(); 300 seeded union-heavy sets of
+    20-60 atoms, named in shuffled order so that class representatives
+    change often; and the five benchmark families, each in its own, the
+    reversed and a shuffled line order."""
+    yield from witness_digest_corpus()
+    rng = random.Random(2026)
+    for _ in range(300):
+        n = rng.randint(20, 60)
+        names = [f"{rng.choice('abcdefgh')}{k}" for k in rng.sample(range(100), n)]
+        # unions stay within one of three levels, and images are
+        # conjunctions of literals over a fourth, so most sets unify
+        levels = [names[k::4] for k in range(4)]
+        lines = []
+        for _ in range(n):
+            level = rng.randrange(3)
+            x = rng.choice(levels[level])
+            roll = rng.random()
+            if roll < 0.85:
+                lines.append(f"{x} == {rng.choice(levels[level])}")
+            else:
+                left, right = (rng.choice(("", "~")) + rng.choice(levels[3]) for _ in "lr")
+                op = "==" if roll < 0.95 else "!="
+                lines.append(f"{x} {op} ({left} & {right})")
+        yield lines
+    families = [
+        [f"x{k} == (x{k + 1} & r)" for k in range(200)],
+        [f"x{k}" for k in range(8)],
+        [f"x{k} == (x{k + 1} & x{k + 2})" for k in range(20)],
+        [f"x{k} == (x{(k + 1) % 12} & r)" for k in range(12)],
+        ["x0 == (x1 & r)", "x1 == (x0 & r)"] + [f"y{k} == ~z{k}" for k in range(25)],
+    ]
+    for lines in families:
+        shuffled = list(lines)
+        rng.shuffle(shuffled)
+        yield from (lines, lines[::-1], shuffled)
 
 
 @lru_cache(maxsize=None)

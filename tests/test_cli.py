@@ -297,6 +297,22 @@ class TestDeepInput:
             assert defs[f"x{k}"] == f"({defs[f'x{k + 1}']} & {defs['r']})"
             assert vals[f"x{k}"] == (vals[f"x{k + 1}"] and vals["r"])
 
+    def test_defcheck_decides_a_deep_equivalence(self, capsys, tmp_path):
+        # unification takes the two sides apart from an explicit stack and
+        # never compares them whole
+        n = 2000
+
+        def conjunction(prefix):
+            return "(" * (n - 1) + f"{prefix}0" + "".join(f" & {prefix}{k})" for k in range(1, n))
+
+        path = tmp_path / "deep.lits"
+        path.write_text(f"{conjunction('a')} == {conjunction('b')}\n", encoding="utf-8")
+        code, out, err = run(capsys, "--machine", "defcheck", str(path))
+        assert code == 0 and "Traceback" not in err
+        seed = json.loads(out)["details"]["seed"]
+        assert all(seed["def"][f"b{k}"] == f"a{k}" for k in range(n))
+        assert not any(seed["valuation"].values())
+
     @pytest.mark.parametrize("argv", [
         ("check", "fig1", "box i " * 2000 + "p"),
     ], ids=["boxes"])

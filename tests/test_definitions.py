@@ -1,5 +1,6 @@
 """Unification core: merge, assert/resolve, pick, literal sets, witnesses."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -15,12 +16,12 @@ from paldef.models import truth
 from paldef.proof import proof_to_json, witness_to_proof
 from paldef.syntax import (
     And, Atom, Neg, apply_simultaneous, is_circular, length, parse_bool,
-    vocabulary,
+    text_of_batch, vocabulary,
 )
 
 from helpers import (
-    BoundedClosure, _eval_bool_map, all_bools, random_bool, single_world_oracle,
-    truth_table_models, witness_digest_corpus,
+    BoundedClosure, _eval_bool_map, all_bools, random_bool, seed_digest_corpus,
+    single_world_oracle, truth_table_models, witness_digest_corpus,
 )
 
 p, q, r, s, t = (Atom(n) for n in "pqrst")
@@ -236,6 +237,16 @@ class TestLiteralSat:
     def test_negative_literal_satisfiable_when_not_forced(self):
         res = literal_sat([EquivLiteral(False, And(p, q), And(q, p))])
         assert res.satisfiable
+
+    def test_deep_equivalence_is_decided(self):
+        # (((a0 & a1) & ...) & a3999) == (((b0 & b1) & ...) & b3999)
+        n = 4000
+        left, right = Atom("a0"), Atom("b0")
+        for k in range(1, n):
+            left, right = And(left, Atom(f"a{k}")), And(right, Atom(f"b{k}"))
+        res = literal_sat([EquivLiteral(True, left, right)])
+        assert res.satisfiable
+        assert all(res.definitions[Atom(f"b{k}")] == Atom(f"a{k}") for k in range(n))
 
     def test_agrees_with_single_world_oracle(self):
         rng = random.Random(14)
@@ -453,9 +464,73 @@ class TestWitnessDigest:
             "the witnesses or their proofs changed; a deliberate change to the "
             "witness shape updates DIGEST and says so in CHANGES.md")
 
+    # sha256 over each SAT seed as defcheck prints it (every definition and
+    # value) and over the reason and detail of every other verdict; the
+    # union-heavy sets pin that rep returns the least name of each class
+    SEED_DIGEST = "633fd1fac083737e6544daeb527884a6a161b3e10eb26c0f65e6296f4966c7c2"
+
+    def test_seed_corpus_is_unchanged(self):
+        h = hashlib.sha256()
+        sat = 0
+        for lines in seed_digest_corpus():
+            res = literal_sat(*parse_literal_lines("\n".join(lines)))
+            if res.satisfiable:
+                sat += 1
+                defs = sorted(res.definitions.items())
+                texts = text_of_batch([image for _, image in defs], sugar=False)
+                for (a, _), text in zip(defs, texts):
+                    h.update(f"{a} := {text} [{int(res.valuation[a])}]\n".encode())
+            else:
+                h.update(f"{res.reason}|{res.detail}\n".encode())
+        assert sat == 589
+        assert h.hexdigest() == self.SEED_DIGEST, (
+            "the SAT seeds or the verdicts changed; a deliberate change updates "
+            "SEED_DIGEST and says so in CHANGES.md")
+
+
+class _Budget:
+    """A work counter that fails as soon as it passes its bound."""
+
+    def __init__(self, bound: int, what: str):
+        self.bound, self.what, self.used = bound, what, 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.bound:
+            raise AssertionError(f"more than {self.bound} {self.what}")
+
+    def counting(self, fn):
+        def counted(*args, **kwargs):
+            self.spend()
+            return fn(*args, **kwargs)
+        return counted
+
+
+def _count_lookups(monkeypatch, budget: _Budget, field: str) -> None:
+    """Make every DefState count each read of its dict `field` against budget."""
+    class CountingDict(dict):
+        def __getitem__(self, key):
+            budget.spend()
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            budget.spend()
+            return super().get(key, default)
+
+    @dataclasses.dataclass
+    class CountingState(DefState):
+        def __post_init__(self):
+            setattr(self, field, CountingDict(getattr(self, field)))
+
+    monkeypatch.setattr(paldef.definitions, "DefState", CountingState)
+
+
+def _sat(lines: list[str]):
+    return literal_sat(parse_literal_lines("\n".join(lines))[0])
+
 
 class TestGrowth:
-    """Boolean search work at doubling sizes."""
+    """Boolean search and unification work at doubling sizes."""
 
     @pytest.mark.xfail(strict=True, reason="literal_sat enumerates the assignments to the "
                        "free representatives in a fixed order")
@@ -472,6 +547,36 @@ class TestGrowth:
         monkeypatch.setattr(paldef.definitions, "truth", counting_truth)
         res = literal_sat([], [Atom(f"x{k}") for k in range(n)])
         assert res.satisfiable and all(res.valuation.values())
+
+    @pytest.mark.parametrize("n", [200, 400, 800])
+    def test_occurs_check_on_the_reverse_chain_is_linear(self, monkeypatch, n):
+        # each new definition x_k is mentioned by no image yet, so the
+        # backward side of the search runs out at once
+        budget = _Budget(4 * n, "classes expanded by the occurs check")
+        for name in ("_dependencies", "_dependents"):
+            monkeypatch.setattr(DefState, name, budget.counting(getattr(DefState, name)))
+        assert _sat([f"x{k} == (x{k + 1} & r)" for k in reversed(range(n))]).satisfiable
+
+    @pytest.mark.parametrize("n", [250, 500, 1000])
+    def test_union_paths_are_not_walked_while_unifying(self, monkeypatch, n):
+        # every x_k == ~y_k meets the binding of x0 across the union path
+        # x0 .. x_k, whose derivation is written out only for a witness
+        budget = _Budget(4 * n, "proof-forest reads and DTrans nodes")
+        _count_lookups(monkeypatch, budget, "_edges")
+        monkeypatch.setattr(paldef.definitions, "d_trans",
+                            budget.counting(paldef.definitions.d_trans))
+        res = _sat([f"x{k} == x{k + 1}" for k in range(n)]
+                   + [f"x{k} == ~y{k}" for k in range(n)])
+        assert res.satisfiable and res.definitions[Atom("x9")] == Neg(Atom("y0"))
+
+    @pytest.mark.parametrize("n", [250, 500, 1000])
+    def test_descending_unions_keep_rep_short(self, monkeypatch, n):
+        # each union brings in a name less than every name of the class
+        budget = _Budget(4 * n, "parent hops in rep")
+        _count_lookups(monkeypatch, budget, "_parent")
+        names = sorted((f"x{k}" for k in range(n)), reverse=True)
+        res = _sat([f"{a} == z" for a in names])
+        assert res.satisfiable and set(res.definitions.values()) == {Atom("x0")}
 
 
 class TestLiteralParsing:

@@ -1,4 +1,4 @@
-"""Growth curves of what `paldef defcheck` writes, on two literal families.
+"""Growth curves of unification and of what `paldef defcheck` writes.
 
     PYTHONPATH=src python tools/growth.py [--repeat N]
 
@@ -12,13 +12,29 @@ it back (`proof_from_json`, one batch), parse its formulas one line at a
 time with `parse_form`, and verify it (`verify_proof`, which rejects chains
 past 18 steps for the tautology budget).
 
+unify: `literal_sat` on five families at doubling n, with its time and
+three work counts from a second, instrumented run: the classes the occurs
+check expands (calls of `DefState._dependencies` and `_dependents`), the
+proof-forest reads (`DefState._edges` lookups) plus the `DTrans` nodes built,
+and the parent hops of `rep` (`DefState._parent` lookups).  The families are
+the chain `x_k == (x_{k+1} & r)` asserted in reverse and in a shuffled order;
+the union paths `x_k == x_{k+1}` then `x_k == ~y_k`; the unions `x_k == z`
+in descending name order; and the pair of left-nested conjunctions
+`(((a0 & a1) & ...) & a_{n-1}) == (((b0 & b1) & ...) & b_{n-1})`.
+
 Times are the least of N runs, in milliseconds, on this process's machine.
 """
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import random
 import time
+from collections import Counter
+from unittest import mock
 
+from paldef import definitions
 from paldef.definitions import literal_sat, parse_literal_lines
 from paldef.proof import proof_from_json, proof_to_json, verify_proof, witness_to_proof
 from paldef.syntax import parse_form, text_of_batch, text_of_bool
@@ -69,6 +85,83 @@ def circular_rows(repeat: int):
                "ok" if outcome.ok else f"line {outcome.line}")
 
 
+def _chain(n: int) -> list[str]:
+    return [f"x{k} == (x{k + 1} & r)" for k in range(n)]
+
+
+def _conjunction(prefix: str, n: int) -> str:
+    return "(" * (n - 1) + f"{prefix}0" + "".join(f" & {prefix}{k})" for k in range(1, n))
+
+
+UNIFY = {
+    "reverse chain": ((100, 200, 400, 800), lambda n: _chain(n)[::-1]),
+    "shuffled chain": ((100, 200, 400, 800), lambda n: random.Random(n).sample(_chain(n), n)),
+    "union paths": ((250, 500, 1000, 2000), lambda n: [f"x{k} == x{k + 1}" for k in range(n)]
+                    + [f"x{k} == ~y{k}" for k in range(n)]),
+    "descending unions": ((250, 500, 1000, 2000), lambda n: [
+        f"{a} == z" for a in sorted((f"x{k}" for k in range(n)), reverse=True)]),
+    "deep conjunction pair": ((500, 1000, 2000, 4000), lambda n: [
+        f"{_conjunction('a', n)} == {_conjunction('b', n)}"]),
+}
+
+
+def counted_sat(lits) -> Counter:
+    """The work counts of literal_sat(lits), as the module docstring lists them."""
+    counts: Counter = Counter()
+
+    def calls(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    def lookups(key):
+        class CountingDict(dict):
+            def __getitem__(self, k):
+                counts[key] += 1
+                return super().__getitem__(k)
+
+            def get(self, k, default=None):
+                counts[key] += 1
+                return super().get(k, default)
+        return CountingDict
+
+    base = definitions.DefState
+    fields = {"_edges": lookups("forest"), "_parent": lookups("hops")}
+
+    @dataclasses.dataclass
+    class CountingState(base):
+        def __post_init__(self):
+            for name, kind in fields.items():
+                setattr(self, name, kind(getattr(self, name)))
+
+    with contextlib.ExitStack() as patches:
+        for name in ("_dependencies", "_dependents"):
+            if hasattr(base, name):  # a state without a dependents index counts one way
+                patches.enter_context(mock.patch.object(
+                    base, name, calls("occurs", getattr(base, name))))
+        patches.enter_context(mock.patch.object(
+            definitions, "d_trans", calls("forest", definitions.d_trans)))
+        patches.enter_context(mock.patch.object(definitions, "DefState", CountingState))
+        literal_sat(lits)
+    return counts
+
+
+def unify_rows(repeat: int):
+    yield "unify", "n", "ms", "occurs", "forest", "hops", "verdict"
+    for family, (sizes, make) in UNIFY.items():
+        for n in sizes:
+            lits = literals(make(n))
+            try:
+                result, ms = best_ms(repeat, lambda: literal_sat(lits))
+            except RecursionError:
+                yield family, n, "-", "-", "-", "-", "RecursionError"
+                continue
+            counts = counted_sat(lits)
+            yield (family, n, f"{ms:.1f}", counts["occurs"], counts["forest"], counts["hops"],
+                   "sat" if result.satisfiable else result.reason)
+
+
 def show(rows) -> None:
     rows = [[str(cell) for cell in row] for row in rows]
     widths = [max(len(row[k]) for row in rows) for k in range(len(rows[0]))]
@@ -81,6 +174,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeat", type=int, default=3, help="runs per timing (least is kept)")
     args = parser.parse_args()
+    show(unify_rows(args.repeat))
     show(linear_rows(args.repeat))
     show(circular_rows(args.repeat))
 
