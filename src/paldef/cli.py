@@ -168,7 +168,8 @@ def cmd_defcheck(args):
         out_path.write_text(proof.proof_to_json(witness_proof), encoding="utf-8")
         details["witness_conclusion"] = str(result.witness.conclusion)
         details["witness_proof"] = str(out_path)
-        lines += [result.witness.describe(), f"witness proof written to {out_path}"]
+        # the witness prints as its description, built only for human output
+        lines += [result.witness, f"witness proof written to {out_path}"]
     return 1, "unsat", details, lines
 
 

@@ -203,6 +203,8 @@ class CircularWitness:
         lines.append(f"conclusion {self.conclusion} is circular")
         return "\n".join(lines)
 
+    __str__ = describe
+
 
 # ---------------------------------------------------------------------------
 # merge: combine two unifiable formulas into their common refinement
@@ -577,34 +579,29 @@ class DefState:
     def _extract_witness(self, cycle: list[Atom]) -> CircularWitness:
         """Build a replayable circular derivation from a class-level cycle.
 
-        The derivation starts at the earliest recorded event (a binding or a
-        union edge) lying on the cycle, so it does not depend on where the
-        cycle list starts, and walks the cycle once, substituting binding
-        images (and union edges as atom renamings) until the start atom
-        reappears inside the right-hand side.
+        The cycle's events, in cycle order, are each class's binding
+        (seq, owner, image, just, k), where image leaf k holds the leftmost
+        atom of the next class, followed by the union edges from that atom to
+        the next owner, (seq, from, to, just, 0).  The derivation starts at
+        the earliest recorded event, so it does not depend on where the cycle
+        list starts, and substitutes the later events in turn until the start
+        atom's class reappears in a compound right-hand side.
 
         Positions in the right-hand side S are leaf indices into `leaves(S)`.
         Substituting an image at leaf k puts the image's leaf j at k + j; a
         renaming keeps k.
         """
-        def first_leaf_of(atoms: list[Atom], cls: Atom) -> int | None:
-            return next((k for k, a in enumerate(atoms) if self.rep(a) == cls), None)
+        def first_leaf_of(S: BoolForm, cls: Atom) -> int | None:
+            return next((k for k, a in enumerate(leaves(S)) if self.rep(a) == cls), None)
 
-        m = len(cycle)
-        binds = [self._bindings[c] for c in cycle]
-        entries = []  # leaf of image i holding the leftmost atom of class cycle[i+1]
-        paths = []    # union edges from that atom to the next owner
-        for i in range(m):
-            atoms = leaves(binds[i].image)
-            k = first_leaf_of(atoms, cycle[(i + 1) % m])
-            entries.append(k)
-            paths.append(self._path(atoms[k], binds[(i + 1) % m].owner))
-
-        candidates = [("bind", i, binds[i].seq) for i in range(m)]
-        for i in range(m):
-            for j, (_, _, _, seq) in enumerate(paths[i]):
-                candidates.append(("edge", (i, j), seq))
-        kind, where, _ = min(candidates, key=lambda c: c[2])
+        events = []
+        for i, c in enumerate(cycle):
+            b, nxt = self._bindings[c], cycle[(i + 1) % len(cycle)]
+            k = first_leaf_of(b.image, nxt)
+            events.append((b.seq, b.owner, b.image, b.just, k))
+            events += [(seq, u, v, just, 0) for u, v, just, seq in
+                       self._path(leaves(b.image)[k], self._bindings[nxt].owner)]
+        start = min(range(len(events)), key=lambda e: events[e][0])
 
         steps: list[WitnessStep] = []
         memo: dict = {}
@@ -615,34 +612,17 @@ class DefState:
             steps.append(WitnessStep(self._force(premise, memo), sub))
             return apply_occ_subst(sub, S)
 
-        if kind == "bind":
-            j = where
-            base, x0, S, pos = binds[j].just, binds[j].owner, binds[j].image, entries[j]
-            pending = paths[j]
-            next_class = (j + 1) % m
-        else:
-            i, j = where
-            x0, S, base, _ = paths[i][j]
-            pos = 0
-            pending = paths[i][j + 1:]
-            next_class = (i + 1) % m
-
-        home = self.rep(x0)
-        while True:
-            if not isinstance(S, Atom):
-                atoms = leaves(S)
-                hit = first_leaf_of(atoms, home)
-                if hit is not None:
-                    for _, _, just, _ in self._path(atoms[hit], x0):
-                        S = substitute(S, hit, just)
-                    break
-            for _, _, just, _ in pending:
-                S = substitute(S, pos, just)
-            k = next_class
-            S = substitute(S, pos, binds[k].just)
-            pos += entries[k]
-            pending = paths[k]
-            next_class = (k + 1) % m
+        _, x0, image, base, pos = events[start]
+        S, home = image, self.rep(x0)
+        later = iter(events[start + 1:] + events[:start])
+        # a renaming keeps the class of every leaf, so only a binding's image
+        # can bring the start class back
+        while isinstance(image, Atom) or (hit := first_leaf_of(S, home)) is None:
+            _, _, image, just, k = next(later)
+            S = substitute(S, pos, just)
+            pos += k
+        for _, _, just, _ in self._path(leaves(S)[hit], x0):
+            S = substitute(S, hit, just)
 
         conclusion = EquivLiteral(True, x0, S)
         witness = CircularWitness(self._force(base, memo), tuple(steps), conclusion)

@@ -191,34 +191,31 @@ def verify_proof(lines) -> ProofOutcome:
         for ref in line.refs:
             if not 1 <= ref < no:
                 return fail(no, f"reference {ref} does not point to an earlier line")
-        if line.rule == "axiom":
-            try:
+        try:
+            if line.rule == "axiom":
                 if is_axiom_instance(line.formula) is None:
                     return fail(no, "not an instance of any axiom schema")
-            except TautologyBudgetError as e:
-                return fail(no, str(e))
-        elif line.rule == "taut":
-            try:
+            elif line.rule == "taut":
                 if not is_tautology(line.formula):
                     return fail(no, "not a propositional tautology")
-            except TautologyBudgetError as e:
-                return fail(no, str(e))
-        elif line.rule == "mp":
-            if len(line.refs) != 2:
-                return fail(no, "mp needs exactly two references")
-            a, b = line.refs
-            wanted = mk_imp(lines[a - 1].formula, line.formula)
-            if lines[b - 1].formula != wanted:
-                return fail(no, f"line {b} is not line {a} -> this line")
-        elif line.rule == "nec":
-            if len(line.refs) != 1:
-                return fail(no, "nec needs exactly one reference")
-            if not line.agent:
-                return fail(no, "nec needs an agent")
-            if line.formula != BoxF(line.agent, lines[line.refs[0] - 1].formula):
-                return fail(no, f"formula is not box {line.agent} of line {line.refs[0]}")
-        else:
-            return fail(no, f"unknown rule {line.rule!r}")
+            elif line.rule == "mp":
+                if len(line.refs) != 2:
+                    return fail(no, "mp needs exactly two references")
+                a, b = line.refs
+                wanted = mk_imp(lines[a - 1].formula, line.formula)
+                if lines[b - 1].formula != wanted:
+                    return fail(no, f"line {b} is not line {a} -> this line")
+            elif line.rule == "nec":
+                if len(line.refs) != 1:
+                    return fail(no, "nec needs exactly one reference")
+                if not line.agent:
+                    return fail(no, "nec needs an agent")
+                if line.formula != BoxF(line.agent, lines[line.refs[0] - 1].formula):
+                    return fail(no, f"formula is not box {line.agent} of line {line.refs[0]}")
+            else:
+                return fail(no, f"unknown rule {line.rule!r}")
+        except TautologyBudgetError as e:
+            return fail(no, str(e))
     return ProofOutcome(True)
 
 

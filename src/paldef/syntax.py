@@ -27,7 +27,7 @@ __all__ = [
     "EquivF", "BoxF", "AnnF", "KdF", "DefIsF", "Form",
     "OccSubst", "ParseError",
     "parse_bool", "parse_form", "parse_batch", "text_of_bool", "text_of_form", "text_of_batch",
-    "length", "vocabulary", "form_vocabulary", "form_agents",
+    "length", "vocabulary",
     "lex_key", "lex_compare", "leaves", "occurrences",
     "apply_occ_subst", "apply_simultaneous", "is_circular",
     "postorder", "substitute",
@@ -276,13 +276,6 @@ def vocabulary(f: Form) -> frozenset[Atom]:
     if type(f) is Atom:
         return frozenset((f,))
     return frozenset(leaves(f))
-
-
-form_vocabulary = vocabulary  # the modal layer's atoms are found by the same walk
-
-
-def form_agents(f: Form) -> frozenset[str]:
-    return frozenset(g.agent for g in postorder(f) if type(g) is BoxF or type(g) is KdF)
 
 
 def lex_key(P: BoolForm):

@@ -22,6 +22,24 @@ ATOMS = tuple(Atom(n) for n in ("p", "q", "r", "s"))
 AGENTS = ("i", "j")
 
 
+class Budget:
+    """A work counter that fails as soon as it passes its bound."""
+
+    def __init__(self, bound: int, what: str):
+        self.bound, self.what, self.used = bound, what, 0
+
+    def spend(self) -> None:
+        self.used += 1
+        if self.used > self.bound:
+            raise AssertionError(f"more than {self.bound} {self.what}")
+
+    def counting(self, fn):
+        def counted(*args, **kwargs):
+            self.spend()
+            return fn(*args, **kwargs)
+        return counted
+
+
 # ---------------------------------------------------------------------------
 # Boolean-formula enumeration and sampling
 

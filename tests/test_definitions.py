@@ -20,7 +20,7 @@ from paldef.syntax import (
 )
 
 from helpers import (
-    BoundedClosure, _eval_bool_map, all_bools, random_bool, seed_digest_corpus,
+    BoundedClosure, Budget, _eval_bool_map, all_bools, random_bool, seed_digest_corpus,
     single_world_oracle, truth_table_models, witness_digest_corpus,
 )
 
@@ -488,25 +488,7 @@ class TestWitnessDigest:
             "SEED_DIGEST and says so in CHANGES.md")
 
 
-class _Budget:
-    """A work counter that fails as soon as it passes its bound."""
-
-    def __init__(self, bound: int, what: str):
-        self.bound, self.what, self.used = bound, what, 0
-
-    def spend(self) -> None:
-        self.used += 1
-        if self.used > self.bound:
-            raise AssertionError(f"more than {self.bound} {self.what}")
-
-    def counting(self, fn):
-        def counted(*args, **kwargs):
-            self.spend()
-            return fn(*args, **kwargs)
-        return counted
-
-
-def _count_lookups(monkeypatch, budget: _Budget, field: str) -> None:
+def _count_lookups(monkeypatch, budget: Budget, field: str) -> None:
     """Make every DefState count each read of its dict `field` against budget."""
     class CountingDict(dict):
         def __getitem__(self, key):
@@ -552,7 +534,7 @@ class TestGrowth:
     def test_occurs_check_on_the_reverse_chain_is_linear(self, monkeypatch, n):
         # each new definition x_k is mentioned by no image yet, so the
         # backward side of the search runs out at once
-        budget = _Budget(4 * n, "classes expanded by the occurs check")
+        budget = Budget(4 * n, "classes expanded by the occurs check")
         for name in ("_dependencies", "_dependents"):
             monkeypatch.setattr(DefState, name, budget.counting(getattr(DefState, name)))
         assert _sat([f"x{k} == (x{k + 1} & r)" for k in reversed(range(n))]).satisfiable
@@ -561,7 +543,7 @@ class TestGrowth:
     def test_union_paths_are_not_walked_while_unifying(self, monkeypatch, n):
         # every x_k == ~y_k meets the binding of x0 across the union path
         # x0 .. x_k, whose derivation is written out only for a witness
-        budget = _Budget(4 * n, "proof-forest reads and DTrans nodes")
+        budget = Budget(4 * n, "proof-forest reads and DTrans nodes")
         _count_lookups(monkeypatch, budget, "_edges")
         monkeypatch.setattr(paldef.definitions, "d_trans",
                             budget.counting(paldef.definitions.d_trans))
@@ -572,7 +554,7 @@ class TestGrowth:
     @pytest.mark.parametrize("n", [250, 500, 1000])
     def test_descending_unions_keep_rep_short(self, monkeypatch, n):
         # each union brings in a name less than every name of the class
-        budget = _Budget(4 * n, "parent hops in rep")
+        budget = Budget(4 * n, "parent hops in rep")
         _count_lookups(monkeypatch, budget, "_parent")
         names = sorted((f"x{k}" for k in range(n)), reverse=True)
         res = _sat([f"{a} == z" for a in names])

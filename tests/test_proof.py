@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import paldef.proof
 from paldef import syntax
 from paldef.checker import evaluate
 from paldef.definitions import (
@@ -24,7 +25,7 @@ from paldef.syntax import (
 )
 
 from helpers import (
-    Depth1Oracle, enumerate_depth1_forms, model_pool, random_bool, random_form,
+    Budget, Depth1Oracle, enumerate_depth1_forms, model_pool, random_bool, random_form,
     skeleton_leaf_count, truth_table_tautology, witness_proof_files,
 )
 
@@ -637,3 +638,32 @@ class TestGrowth:
         monkeypatch.setattr(syntax, "_TOKEN_RE", CountingTokens())
         assert len(proof_from_json(text)) == 6 * n - 1
         assert len(read) <= in_file // 10
+
+
+class TestTableauGrowth:
+    """Theory checks (`literal_sat` calls) of the tableau at growing sizes,
+    held to the bound a planned fix meets."""
+
+    @pytest.mark.xfail(strict=True, reason="_explore branches chronologically, so it tries "
+                       "every combination of the unrelated disjunctions before the one "
+                       "that clashes")
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_clause_family_needs_linearly_many_theory_checks(self, monkeypatch, n):
+        # satisfiable; the only clash is box i (p0 == q0) against its negation
+        # in one child.  The benchmark's family boxes atoms, which makes each
+        # check enumerate 2^n valuations (pinned in test_definitions.py); boxed
+        # equivalences branch the same way, with the same counts: 31, 147, 707
+        # and 3,331 at n = 4, 6, 8 and 10
+        budget = Budget(4 * n, "theory checks")
+        monkeypatch.setattr(paldef.proof, "literal_sat", budget.counting(literal_sat))
+        clauses = [f"(box i (p{k} == q{k}) | ~box i (p{k} == r{k}))" for k in range(n)]
+        assert satisfiable(parse_form(" & ".join(clauses) + " & ~box i (p0 == q0)")).satisfiable
+
+    @pytest.mark.xfail(strict=True, reason="_explore expands the reduction as a tree of "
+                       "4^n nodes, not as its shared subformulas")
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_announcements_need_a_theory_check_per_shared_subformula(self, monkeypatch, n):
+        # the reduction has 12n + 16 distinct subformulas
+        budget = Budget(12 * n + 16, "theory checks")
+        monkeypatch.setattr(paldef.proof, "literal_sat", budget.counting(literal_sat))
+        assert valid(parse_form("[box i p]" * n + " box i (p | ~p)"))

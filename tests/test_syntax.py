@@ -15,10 +15,10 @@ from paldef.definitions import DefState, EquivLiteral, literal_sat, parse_litera
 from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
     And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
-    apply_occ_subst, apply_simultaneous, as_or, form_agents, form_vocabulary,
-    is_circular, leaves, length, lex_compare, lex_key, mk_iff, mk_imp, mk_or,
-    occurrences, parse_batch, parse_bool, parse_form, postorder, substitute,
-    text_of_batch, text_of_bool, text_of_form, vocabulary,
+    apply_occ_subst, apply_simultaneous, as_or, is_circular, leaves, length,
+    lex_compare, lex_key, mk_iff, mk_imp, mk_or, occurrences, parse_batch,
+    parse_bool, parse_form, postorder, substitute, text_of_batch, text_of_bool,
+    text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -202,9 +202,7 @@ _DEEP_CASES = {
     "postorder": (lambda P: len(postorder(P)), lambda t: t.count("~") + 2 * t.count("&") + 1),
     "length": (length, lambda t: len(t.replace(" ", ""))),
     "vocabulary": (lambda P: sorted(a.name for a in vocabulary(P)), _atom_names),
-    "form_vocabulary": (lambda P: sorted(a.name for a in form_vocabulary(BoxF("i", P))),
-                        _atom_names),
-    "form_agents": (lambda P: form_agents(BoxF("i", P)), lambda t: {"i"}),
+    "form_vocabulary": (lambda P: sorted(a.name for a in vocabulary(BoxF("i", P))), _atom_names),
     "lex_key": (lambda P: lex_key(P)[0], lambda t: 1 if t[0] == "~" else 2),
     "leaves": (lambda P: len(leaves(P)), lambda t: t.count("&") + 1),
     "occurrences": (lambda P: occurrences(p, P), lambda t: t.count("p")),

@@ -12,15 +12,20 @@ it back (`proof_from_json`, one batch), parse its formulas one line at a
 time with `parse_form`, and verify it (`verify_proof`, which rejects chains
 past 18 steps for the tautology budget).
 
-unify: `literal_sat` on five families at doubling n, with its time and
+unify: `literal_sat` on seven families at doubling n, with its time and
 three work counts from a second, instrumented run: the classes the occurs
 check expands (calls of `DefState._dependencies` and `_dependents`), the
 proof-forest reads (`DefState._edges` lookups) plus the `DTrans` nodes built,
 and the parent hops of `rep` (`DefState._parent` lookups).  The families are
 the chain `x_k == (x_{k+1} & r)` asserted in reverse and in a shuffled order;
 the union paths `x_k == x_{k+1}` then `x_k == ~y_k`; the unions `x_k == z`
-in descending name order; and the pair of left-nested conjunctions
-`(((a0 & a1) & ...) & a_{n-1}) == (((b0 & b1) & ...) & b_{n-1})`.
+in descending name order; the pair of left-nested conjunctions
+`(((a0 & a1) & ...) & a_{n-1}) == (((b0 & b1) & ...) & b_{n-1})`; and two
+circular sets, whose witness is extracted and replayed: the circular chain
+`x_k == (x_{(k+1) mod n} & r)`, and `x_k == (y_k & r)` with the unions
+`y_k == x_{(k+1) mod n}`, whose cycle runs through a union edge per class.
+A size at which replaying the witness still recurses too deeply (its `==`
+on the conclusion) reads RecursionError.
 
 Times are the least of N runs, in milliseconds, on this process's machine.
 """
@@ -102,6 +107,10 @@ UNIFY = {
         f"{a} == z" for a in sorted((f"x{k}" for k in range(n)), reverse=True)]),
     "deep conjunction pair": ((500, 1000, 2000, 4000), lambda n: [
         f"{_conjunction('a', n)} == {_conjunction('b', n)}"]),
+    "circular chain": ((100, 200, 400, 800), lambda n: [
+        f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)]),
+    "circular unions": ((100, 200, 400, 800), lambda n: [
+        f"x{k} == (y{k} & r)" for k in range(n)] + [f"y{k} == x{(k + 1) % n}" for k in range(n)]),
 }
 
 
