@@ -9,7 +9,9 @@ verdict, details}.
 Input nested deeper than the recursion limit is "nested too deeply" for
 `check`, `sat`, `valid`, `reduce`, and `prove-verify` on a deep `taut` line,
 which still recurse.  `parse` and `defcheck` have no depth limit, except
-where `defcheck` compares two deep formulas (a `!=` literal, a witness).
+for a deep `!=` literal and the proof of a long cycle, whose lemmas conjoin
+as many premises as the cycle has steps and are hashed recursively: a cycle
+of n bindings or unions is decided up to about n = 400, an error from 500.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import checker, models, proof
-from .definitions import DInput, literal_sat, parse_literal_lines
+from .definitions import literal_sat, parse_literal_lines
 from .syntax import Form, Neg, ParseError, parse_form, text_of_batch, text_of_form
 
 PROG = "paldef"
@@ -160,9 +162,7 @@ def cmd_defcheck(args):
     details: dict = {"reason": result.reason, "detail": result.detail}
     lines = [f"UNSAT ({result.reason})", f"  {result.detail}"]
     if result.witness is not None:
-        used = result.witness.inputs()
-        premises = [l for l in equivs if l.positive and DInput(l.left, l.right) in used]
-        witness_proof = proof.witness_to_proof(result.witness, premises)
+        witness_proof = proof.witness_to_proof(result.witness, equivs)
         out_path = Path(args.witness_out) if args.witness_out else (
             Path(args.literals).with_suffix(".witness.json"))
         out_path.write_text(proof.proof_to_json(witness_proof), encoding="utf-8")

@@ -425,7 +425,8 @@ def premodel_to_dict(model: Premodel) -> dict:
             for w in model.worlds
         ],
         "relations": {
-            agent: sorted([u, v] for u, v in model.relations.get(agent, frozenset()))
+            agent: sorted([u, v] for u, vs in model.relations.index.get(agent, {}).items()
+                          for v in vs)
             for agent in sorted(model.agents)
         },
     }

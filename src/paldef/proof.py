@@ -121,19 +121,15 @@ def _match(schema, f, env: dict) -> bool:
         _match(getattr(schema, k), getattr(f, k), env) for k in schema.__match_args__)
 
 
-def _instance(schema, env: dict, push: bool = False):
-    """The schema with its metavariables replaced by their values in env.
-
-    With push, each announcement of the schema is rewritten by `_push` as it
-    is built.
-    """
+def _instance(schema, env: dict):
+    """The schema with its metavariables replaced by their values in env,
+    each announcement of the schema rewritten by `_push` as it is built."""
     match schema:
         case Atom(name) | str(name):
             return env[name]
-        case AnnF(announced, inner) if push:
-            return _push(_instance(announced, env, True), _instance(inner, env, True))
-    return type(schema)(*[_instance(getattr(schema, k), env, push)
-                          for k in schema.__match_args__])
+        case AnnF(announced, inner):
+            return _push(_instance(announced, env), _instance(inner, env))
+    return type(schema)(*[_instance(getattr(schema, k), env) for k in schema.__match_args__])
 
 
 def _axiom(name: str, **env) -> Form:
@@ -316,7 +312,7 @@ def _push(announced: Form, body: Form) -> Form:
     lhs, rhs = law
     env: dict = {}
     _match(lhs, AnnF(announced, body), env)
-    return _instance(rhs, env, push=True)
+    return _instance(rhs, env)
 
 
 # ---------------------------------------------------------------------------
@@ -474,25 +470,22 @@ def _conjoin(forms: list[Form]) -> Form:
     return result
 
 
-def witness_to_proof(witness: CircularWitness, premises) -> list[ProofLine]:
+def witness_to_proof(witness: CircularWitness, literals) -> list[ProofLine]:
     """Compile a circularity witness into a hypothesis-free Hilbert proof.
 
-    The proof derives `~C`, where C is the conjunction of the positive
-    equivalence literals handed in (the inconsistent input set).  Every
-    intermediate equivalence lit is carried as `C_S -> lit`, where C_S is the
-    conjunction, in input order, of the premises S that lit's derivation
-    uses; it is chained through definition-axiom instances with tautology
-    glue that weakens each premise's C_S to their union's, and the circular
-    conclusion is refuted by the non-circularity axiom.
+    `literals` are the literals the witness was found on, of both signs,
+    including those it does not use.  The proof derives `~C`, where C is the
+    conjunction, in input order, of the positive literals that the witness
+    uses.  Every intermediate equivalence lit is carried as `C_S -> lit`,
+    where C_S is the conjunction, in input order, of the premises S that
+    lit's derivation uses; it is chained through definition-axiom instances
+    with tautology glue that weakens each premise's C_S to their union's, and
+    the circular conclusion is refuted by the non-circularity axiom.
     """
-    premise_forms = [EquivF(lit.left, lit.right) for lit in premises]
-    if not premise_forms:
-        raise ValueError("no premises to refute")
-    position: dict[Form, int] = {}
-    for k, f in enumerate(premise_forms):
-        position.setdefault(f, k)
-    big_c = _conjoin(premise_forms)
-    hypotheses: dict[frozenset[int], Form] = {frozenset(range(len(premise_forms))): big_c}
+    premise_forms = [EquivF(lit.left, lit.right) for lit in literals if lit.positive]
+    position: dict[Form, int] = {}  # a premise's first position
+    firsts = [position.setdefault(f, k) for k, f in enumerate(premise_forms)]
+    hypotheses: dict[frozenset[int], Form] = {}
 
     def hypothesis(used: frozenset[int]) -> Form:
         """C_S, built once per set of premise positions."""
@@ -566,9 +559,14 @@ def witness_to_proof(witness: CircularWitness, premises) -> list[ProofLine]:
         proved = chain([derive(step.premise), proved], via, conclusion)
         rhs, current = rewritten, conclusion
 
+    # C conjoins every line of the premises S the proof uses, so a repeated
+    # line enters it as often as it is given
+    proved_line, used = proved
+    conjuncts = [f for f, k in zip(premise_forms, firsts) if k in used]
+    big_c = hypothesis(used) if len(conjuncts) == len(used) else _conjoin(conjuncts)
     non_circ = add(_axiom("non-circularity", p=atom, x=rhs), "axiom")
     refute = mk_imp(Neg(current), Neg(big_c))
-    flip = add(mk_imp(lines[proved[0] - 1].formula, refute), "taut")
-    s = add(refute, "mp", (proved[0], flip))
+    flip = add(mk_imp(lines[proved_line - 1].formula, refute), "taut")
+    s = add(refute, "mp", (proved_line, flip))
     add(Neg(big_c), "mp", (non_circ, s))
     return lines

@@ -10,7 +10,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from paldef.definitions import DInput, literal_sat, parse_literal_lines
+from paldef.definitions import literal_sat, parse_literal_lines
 from paldef.models import Model, Premodel, eval_bool, unravel, validate
 from paldef.proof import proof_to_json, witness_to_proof
 from paldef.syntax import (
@@ -670,14 +670,12 @@ def seed_digest_corpus():
 
 @lru_cache(maxsize=None)
 def witness_proof_files() -> tuple[str, ...]:
-    """The proof file of each circular set of witness_digest_corpus, built
-    from the premises its witness uses: 1,234 files."""
+    """The proof file of each circular set of witness_digest_corpus, which
+    refutes the premises its witness uses: 1,234 files."""
     files = []
     for lines in witness_digest_corpus():
         equivs, _ = parse_literal_lines("\n".join(lines))
         res = literal_sat(equivs)
         if res.witness is not None:
-            used = res.witness.inputs()
-            premises = [l for l in equivs if DInput(l.left, l.right) in used]
-            files.append(proof_to_json(witness_to_proof(res.witness, premises)))
+            files.append(proof_to_json(witness_to_proof(res.witness, equivs)))
     return tuple(files)

@@ -313,6 +313,23 @@ class TestDeepInput:
         assert all(seed["def"][f"b{k}"] == f"a{k}" for k in range(n))
         assert not any(seed["valuation"].values())
 
+    @pytest.mark.xfail(strict=True, reason="witness_to_proof hashes its lines recursively, and "
+                       "the premise conjunctions of its lemmas nest as deep as the union path")
+    def test_defcheck_proves_a_circle_through_a_long_union_path(self, capsys, tmp_path):
+        # every line is shallow and the witness concludes b == (b & r), but
+        # its cycle runs through m unions, so the lemmas conjoin m premises
+        m = 600
+        lines = ["a0 == (b & c)", *(f"a{k} == a{k + 1}" for k in range(m)),
+                 f"a{m} == (d & e)", "d == (b & r)"]
+        path = tmp_path / "unions.lits"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_path = tmp_path / "unions.json"
+        code, out, err = run(capsys, "--machine", "defcheck", str(path),
+                             "--witness-out", str(out_path))
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["details"]["witness_conclusion"] == "b == (b & r)"
+        assert len(proof_from_json(out_path.read_text(encoding="utf-8"))) > m
+
     @pytest.mark.parametrize("argv", [
         ("check", "fig1", "box i " * 2000 + "p"),
     ], ids=["boxes"])

@@ -9,7 +9,7 @@ import pytest
 
 import paldef.definitions
 from paldef.definitions import (
-    CircularityDetected, DefState, DInput, EquivLiteral, PatternClash,
+    CircularityDetected, CircularWitness, DefState, DInput, EquivLiteral, PatternClash,
     literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
 from paldef.models import truth
@@ -403,6 +403,20 @@ class TestWitness:
                 assert lit == err.witness.conclusion
         assert found > 100
 
+    def test_replay_checks_a_deep_conclusion(self):
+        # the conclusion is an equal but distinct copy of the replayed
+        # right-hand side, (q & (q & ... (q & p))) 2,000 levels deep
+        def deep(inner):
+            for _ in range(2000):
+                inner = And(q, inner)
+            return inner
+
+        witness = CircularWitness(DInput(p, deep(p)), (), EquivLiteral(True, p, deep(p)))
+        assert witness.replay().right is witness.base.right
+        wrong = CircularWitness(DInput(p, deep(p)), (), EquivLiteral(True, p, deep(Neg(p))))
+        with pytest.raises(ValueError, match="witness replays to"):
+            wrong.replay()
+
     def test_union_edge_inside_the_cycle(self):
         # the dependency cycle runs through a class whose bound atom differs
         # from the atom the previous image mentions, so the witness stitches
@@ -455,10 +469,8 @@ class TestWitnessDigest:
             if res.witness is not None:
                 circular += 1
                 later += any(step.subst.index > 1 for step in res.witness.steps)
-                used = res.witness.inputs()
-                premises = [l for l in equivs if DInput(l.left, l.right) in used]
                 h.update(repr(res.witness).encode())
-                h.update(proof_to_json(witness_to_proof(res.witness, premises)).encode())
+                h.update(proof_to_json(witness_to_proof(res.witness, equivs)).encode())
         assert (circular, later) == (1234, 12)
         assert h.hexdigest() == self.DIGEST, (
             "the witnesses or their proofs changed; a deliberate change to the "

@@ -453,9 +453,8 @@ class TestWitnessProofs:
         assert res.reason == "circular"
         proof = witness_to_proof(res.witness, lits)
         assert verify_proof(proof).ok
-        assert proof[-1].formula == Neg(
-            And(EquivF(p, And(q, r)),
-                 And(EquivF(q, And(p, r)), EquivF(s, p))))
+        # the proof refutes the premises it uses; s == p is not one of them
+        assert proof[-1].formula == Neg(And(EquivF(p, And(q, r)), EquivF(q, And(p, r))))
 
     def test_corrupted_witness_proofs_are_rejected(self):
         lits = [EquivLiteral(True, p, And(q, r)),
@@ -503,13 +502,19 @@ class TestWitnessProofs:
             res = literal_sat(lits)
             if res.reason != "circular":
                 continue
-            used = res.witness.inputs()
-            assert used <= {DInput(l.left, l.right) for l in lits}
-            premises = [l for l in lits if DInput(l.left, l.right) in used]
-            outcome = verify_proof(witness_to_proof(res.witness, premises))
+            proof = witness_to_proof(res.witness, lits)
+            outcome = verify_proof(proof)
             assert outcome.ok, (lits, str(outcome))
+            # C is the premises that some lemma rests on, in input order
+            premises = [EquivF(l.left, l.right) for l in lits]
+            refuted = _conjuncts(proof[-1].formula.inner)
+            assert refuted == [f for f in premises if f in refuted]
+            rested_on = {f for line in proof
+                         if (lemma := _lemma(line, premises)) is not None
+                         for f in _conjuncts(lemma[0])}
+            assert rested_on == set(refuted)
             compiled += 1
-            narrowed += len(premises) < len(lits)
+            narrowed += len(refuted) < len(lits)
         assert compiled > 60 and narrowed > 20
 
     def test_each_lemma_carries_the_premises_of_its_derivation(self):
@@ -549,11 +554,10 @@ class TestWitnessProofs:
         equivs, _ = parse_literal_lines("\n".join(other[:14] + used + other[14:]))
         proof = witness_to_proof(literal_sat(equivs).witness, equivs)
         unused = {Atom(f"{c}{k}") for c in "yz" for k in range(28)}
-        for line in proof[:-3]:
+        for line in proof:
             assert not vocabulary(line.formula) & unused, text_of_form(line.formula)
-        # only the last three lines name the conjunction of all 30 premises
-        assert proof[-1].formula == Neg(_conjunction([EquivF(l.left, l.right) for l in equivs]))
-        assert verify_proof(proof[:-3]).ok
+        assert proof[-1].formula == Neg(_conjunction([parse_form(f) for f in used]))
+        assert verify_proof(proof).ok
 
     @pytest.mark.parametrize("n,line", [(18, None), (19, 105)])
     def test_the_tautology_budget_stops_circular_chains_after_18(self, n, line):
@@ -599,19 +603,22 @@ def _premise_sets(witness, premises):
             for lit, sets in found.items()}
 
 
+def _conjuncts(f):
+    """The conjuncts of a right-nested conjunction, left to right."""
+    found = []
+    while type(f) is And:
+        found.append(f.left)
+        f = f.right
+    return found + [f]
+
+
 def _lemma(line, premises):
     """(C_S, lit) when a line, not an axiom, reads `C_S -> lit` for a
     conjunction C_S of premises and an equivalence lit; else None."""
     parts = as_imp(line.formula)
     if line.rule == "axiom" or parts is None or type(parts[1]) is not EquivF:
         return None
-    hypothesis, conjuncts = parts[0], []
-    rest = hypothesis
-    while type(rest) is And:
-        conjuncts.append(rest.left)
-        rest = rest.right
-    conjuncts.append(rest)
-    return (hypothesis, parts[1]) if all(c in premises for c in conjuncts) else None
+    return parts if all(c in premises for c in _conjuncts(parts[0])) else None
 
 
 class TestGrowth:

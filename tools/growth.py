@@ -12,7 +12,7 @@ it back (`proof_from_json`, one batch), parse its formulas one line at a
 time with `parse_form`, and verify it (`verify_proof`, which rejects chains
 past 18 steps for the tautology budget).
 
-unify: `literal_sat` on seven families at doubling n, with its time and
+unify: `literal_sat` on eight families at doubling n, with its time and
 three work counts from a second, instrumented run: the classes the occurs
 check expands (calls of `DefState._dependencies` and `_dependents`), the
 proof-forest reads (`DefState._edges` lookups) plus the `DTrans` nodes built,
@@ -20,12 +20,18 @@ and the parent hops of `rep` (`DefState._parent` lookups).  The families are
 the chain `x_k == (x_{k+1} & r)` asserted in reverse and in a shuffled order;
 the union paths `x_k == x_{k+1}` then `x_k == ~y_k`; the unions `x_k == z`
 in descending name order; the pair of left-nested conjunctions
-`(((a0 & a1) & ...) & a_{n-1}) == (((b0 & b1) & ...) & b_{n-1})`; and two
+`(((a0 & a1) & ...) & a_{n-1}) == (((b0 & b1) & ...) & b_{n-1})`; and three
 circular sets, whose witness is extracted and replayed: the circular chain
-`x_k == (x_{(k+1) mod n} & r)`, and `x_k == (y_k & r)` with the unions
-`y_k == x_{(k+1) mod n}`, whose cycle runs through a union edge per class.
-A size at which replaying the witness still recurses too deeply (its `==`
-on the conclusion) reads RecursionError.
+`x_k == (x_{(k+1) mod n} & r)`; `x_k == (y_k & r)` with the unions
+`y_k == x_{(k+1) mod n}`, whose cycle runs through a union edge per class;
+and the union path `a0 == (b & c)`, `a_k == a_{k+1}` for k < n,
+`a_n == (d & e)`, `d == (b & r)`, whose lines are all shallow and whose
+witness concludes `b == (b & r)`.  The table times `literal_sat` alone.
+`defcheck` also compiles the witness into a proof, whose lemmas conjoin
+every premise on the cycle and are hashed recursively, so it exits 2 from
+about 500 premises: n = 500 on the chain and the union path, n = 250 on
+the circular unions.  A size at which `literal_sat` recurses too deeply
+reads RecursionError.
 
 Times are the least of N runs, in milliseconds, on this process's machine.
 """
@@ -111,6 +117,9 @@ UNIFY = {
         f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)]),
     "circular unions": ((100, 200, 400, 800), lambda n: [
         f"x{k} == (y{k} & r)" for k in range(n)] + [f"y{k} == x{(k + 1) % n}" for k in range(n)]),
+    "union path": ((100, 200, 400, 800), lambda n: [
+        "a0 == (b & c)", *(f"a{k} == a{k + 1}" for k in range(n)), f"a{n} == (d & e)",
+        "d == (b & r)"]),
 }
 
 
