@@ -7,11 +7,14 @@ With --machine the only stdout output is one JSON object {subcommand,
 verdict, details}.
 
 Input nested deeper than the recursion limit is "nested too deeply" for
-`check`, `sat`, `valid`, `reduce`, and `prove-verify` on a deep `taut` line,
-which still recurse.  `parse` and `defcheck` have no depth limit, except
-for a deep `!=` literal and the proof of a long cycle, whose lemmas conjoin
-as many premises as the cycle has steps and are hashed recursively: a cycle
-of n bindings or unions is decided up to about n = 400, an error from 500.
+`check`, `sat`, `valid` and `reduce`, which still recurse.  `prove-verify`
+encodes a `taut` line's `~`/`&` skeleton at any depth, but hashes each leaf
+of it (a `box`, an `==`, ...) and compares the formulas of `mp`, `nec` and
+axiom lines recursively, so a deep leaf or such a line is too deep for it.
+`parse` and `defcheck` have no depth limit, except for a deep `!=` literal
+and the proof of a long cycle, whose lemmas conjoin as many premises as the
+cycle has steps and are hashed recursively: a cycle of n bindings or unions
+is decided up to about n = 400, an error from 500.
 """
 
 from __future__ import annotations

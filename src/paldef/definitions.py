@@ -21,7 +21,6 @@ receiver, so distinct states may be used concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from collections import Counter
@@ -37,7 +36,7 @@ from .models import truth
 __all__ = [
     "EquivLiteral", "DefState", "CircularWitness", "WitnessStep",
     "PatternClash", "CircularityDetected",
-    "DInput", "DSym", "DNegParts", "DAndParts", "DTrans",
+    "Derivation",
     "merge", "merge_substitution", "pick",
     "literal_sat", "SatCheck", "parse_literal_lines",
 ]
@@ -57,63 +56,32 @@ class EquivLiteral:
 
 
 # ---------------------------------------------------------------------------
-# Derivations: how a literal follows from the asserted inputs.  Each node
-# carries the literal it derives, so replay and proof generation never have to
-# recompute it.
+# Derivations: how a literal follows from the asserted inputs.
 
 @dataclass(frozen=True)
-class DInput:
+class Derivation:
+    """A derivation of `left == right`, which it carries, so replay and proof
+    generation never recompute it.  `rule` is "input" for an asserted
+    literal, else the name of the law in `proof._SCHEMAS` that the step
+    instantiates ("symmetry", "pattern-neg", "pattern-and" or
+    "transitivity"), whose premises are the literals of `parts`, in order."""
+
+    rule: str
     left: BoolForm
     right: BoolForm
-
-
-@dataclass(frozen=True)
-class DSym:
-    left: BoolForm
-    right: BoolForm
-    of: "Derivation"
-
-
-@dataclass(frozen=True)
-class DNegParts:
-    """(l == r) from (~l == ~r)."""
-
-    left: BoolForm
-    right: BoolForm
-    of: "Derivation"
-
-
-@dataclass(frozen=True)
-class DAndParts:
-    """One coordinate of ((a & b) == (c & d))."""
-
-    left: BoolForm
-    right: BoolForm
-    of: "Derivation"
-    side: int
-
-
-@dataclass(frozen=True)
-class DTrans:
-    left: BoolForm
-    right: BoolForm
-    first: "Derivation"
-    second: "Derivation"
-
-
-Derivation = DInput | DSym | DNegParts | DAndParts | DTrans
+    parts: tuple["Derivation", ...] = ()
 
 
 def d_sym(d: Derivation) -> Derivation:
-    if isinstance(d, DSym):
-        return d.of
-    return DSym(d.right, d.left, d)
+    if d.rule == "symmetry":
+        return d.parts[0]
+    return Derivation("symmetry", d.right, d.left, (d,))
 
 
 def d_trans(first: Derivation, second: Derivation) -> Derivation:
     if first.right != second.left:
         raise ValueError("transitivity endpoints do not meet")
-    return DTrans(first.left, second.right, first, second)
+    return Derivation("transitivity", first.left, second.right, (first, second))
 
 
 class PatternClash(ValueError):
@@ -348,7 +316,7 @@ class DefState:
         CircularityDetected (with witness) when the occurs check fails.
         """
         new = self._copy()
-        new._consume(left, right, DInput(left, right))
+        new._consume(left, right, Derivation("input", left, right))
         return new
 
     def _consume(self, left: BoolForm, right: BoolForm, just: Derivation) -> None:
@@ -369,11 +337,11 @@ class DefState:
                 case (_, Atom()):
                     stack += self._bind(b, a, d_sym(just))
                 case (Neg(x), Neg(y)):
-                    stack.append((x, y, DNegParts(x, y, just)))
+                    stack.append((x, y, Derivation("pattern-neg", x, y, (just,))))
                 case (And(x1, x2), And(y1, y2)):
                     stack += [
-                        (x2, y2, DAndParts(x2, y2, just, 1)),
-                        (x1, y1, DAndParts(x1, y1, just, 0)),
+                        (x2, y2, Derivation("pattern-and", x2, y2, (just,))),
+                        (x1, y1, Derivation("pattern-and", x1, y1, (just,))),
                     ]
                 case _:
                     if isinstance(a, Neg):
@@ -471,13 +439,11 @@ class DefState:
             if id(node) in memo:
                 continue
             if parts is None:  # list the parts, force them, then come back
-                if type(node) is DInput:
-                    parts = []
-                elif type(node) is _Pending:
+                if type(node) is _Pending:
                     path = self._path(node.first.owner, node.second.owner)
                     parts = [node.first.just, *(just for _, _, just, _ in path), node.second.just]
                 else:
-                    parts = [node.of]
+                    parts = node.parts
                 todo += [(node, parts)] + [(part, None) for part in parts]
                 continue
             done = [memo[id(part)][1] for part in parts]
@@ -487,7 +453,8 @@ class DefState:
                     chain = d_trans(chain, functools.reduce(d_trans, done[1:-1]))
                 forced = d_trans(chain, done[-1])
             else:
-                forced = dataclasses.replace(node, of=done[0]) if done else node
+                forced = Derivation(node.rule, node.left, node.right,
+                                    tuple(done)) if done else node
             memo[id(node)] = (node, forced)
         return memo[id(d)][1]
 
@@ -676,7 +643,7 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
         if not lit.positive:
             continue
         try:
-            state._consume(lit.left, lit.right, DInput(lit.left, lit.right))
+            state._consume(lit.left, lit.right, Derivation("input", lit.left, lit.right))
         except PatternClash as e:
             return SatCheck(False, "pattern-clash", f"{lit}: {e}")
         except CircularityDetected as e:

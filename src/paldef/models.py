@@ -54,7 +54,10 @@ _FIXTURE_NAMES = ("fig1", "fig2", "fig3", "fig4")
 class Relations(Mapping):
     """Read-only agent -> frozenset of (u, v) pairs, stored as `index`:
     agent -> world -> its sorted successors, where a world without
-    successors has no entry.  Reading an agent builds its pair set anew."""
+    successors has no entry.  Reading an agent builds its pair set anew.
+    No package code reads the pair sets, but the benchmark's reference
+    checker does: `bench/reference.py` (`model_from_paldef`) iterates
+    `model.relations.items()`, so removing this view changes the benchmark."""
 
     __slots__ = ("index",)
 
@@ -239,20 +242,34 @@ class Cnf:
         self.size = 0
 
     def literal(self, f) -> int:
-        """Literal equivalent to f; conjunctions get a gate variable."""
-        if type(f) is Neg:
-            return -self.literal(f.inner)
-        if type(f) is And:
-            a, b = self.literal(f.left), self.literal(f.right)
-            self.size += 1
-            g = self.size
-            self.clauses += ((-g, a), (-g, b), (g, -a, -b))
-            return g
-        var = self.leaves.get(f)
-        if var is None:
-            self.size += 1
-            var = self.leaves[f] = self.size
-        return var
+        """Literal equivalent to f; conjunctions get a gate variable.
+
+        Variables are numbered left side, right side, then the gate.  The
+        walk keeps its own stack, so the depth of `~` and `&` is unbounded; a
+        leaf is looked up by its hash, which recurses.
+        """
+        values: list[int] = []
+        todo: list = [f]  # a formula, or the sign of a conjunction whose sides are on values
+        while todo:
+            f, sign = todo.pop(), 1
+            while type(f) is Neg:
+                f, sign = f.inner, -sign
+            if type(f) is And:
+                todo += (sign, f.right, f.left)
+            elif type(f) is int:
+                b = values.pop()
+                a = values[-1]
+                self.size += 1
+                gate = self.size
+                self.clauses += ((-gate, a), (-gate, b), (gate, -a, -b))
+                values[-1] = f * gate
+            else:
+                var = self.leaves.get(f)
+                if var is None:
+                    self.size += 1
+                    var = self.leaves[f] = self.size
+                values.append(sign * var)
+        return values[0]
 
 
 def first_model(cnf: Cnf, order: list[int]) -> list | None:

@@ -19,14 +19,11 @@ import json
 from dataclasses import dataclass
 
 from .checker import evaluate
-from .definitions import (
-    CircularWitness, DAndParts, DInput, DNegParts, DSym, DTrans, Derivation,
-    EquivLiteral, literal_sat,
-)
+from .definitions import CircularWitness, Derivation, EquivLiteral, literal_sat
 from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
-    ParseError, apply_occ_subst, as_iff, is_circular, mk_imp, occurrences,
+    ParseError, apply_occ_subst, as_iff, as_imp, is_circular, mk_imp, occurrences,
     parse_batch, parse_form, postorder, text_of_batch, text_of_form,
 )
 
@@ -216,21 +213,18 @@ def verify_proof(lines) -> ProofOutcome:
 
 
 def proof_to_json(lines) -> str:
-    """The proof file of the lines, as `json.dumps(..., indent=2)` lays it
-    out.  Each value is encoded on its own, which takes the C encoder, and
-    the formulas are printed as one batch, so a subformula the lines share
-    is printed once."""
+    """The proof file of the lines.  The formulas are printed as one batch,
+    so a subformula the lines share is printed once."""
     lines = list(lines)
     entries = []
     for line, text in zip(lines, text_of_batch(line.formula for line in lines)):
-        fields = [f'"formula": {json.dumps(text)}', f'"rule": {json.dumps(line.rule)}']
+        entry = {"formula": text, "rule": line.rule}
         if line.refs:
-            refs = ",\n".join(f"      {json.dumps(ref)}" for ref in line.refs)
-            fields.append(f'"refs": [\n{refs}\n    ]')
+            entry["refs"] = list(line.refs)
         if line.agent is not None:
-            fields.append(f'"agent": {json.dumps(line.agent)}')
-        entries.append("  {\n    " + ",\n    ".join(fields) + "\n  }")
-    return ("[\n" + ",\n".join(entries) + "\n]\n") if entries else "[]\n"
+            entry["agent"] = line.agent
+        entries.append(entry)
+    return json.dumps(entries, indent=2) + "\n"
 
 
 def proof_from_json(text: str) -> list[ProofLine]:
@@ -470,6 +464,31 @@ def _conjoin(forms: list[Form]) -> Form:
     return result
 
 
+# The laws a derivation step may name: the premise and conclusion sides of
+# each schema that is an implication or an equivalence and has no side
+# condition
+_LAWS = {name: sides for name, schema in _SCHEMAS.items()
+         if name not in _SIDE_CONDITIONS and (sides := as_iff(schema) or as_imp(schema))}
+
+
+def _law(d: Derivation, lit: Form) -> Form:
+    """The instance of the law d names whose premise side is the conjunction
+    of the literals of d's parts and whose conclusion side is lit or has lit
+    as a conjunct; ValueError if there is none."""
+    premise, conclusion = _LAWS.get(d.rule, (None, None))
+    env: dict = {}
+    if (premise is None or not d.parts
+            or not _match(premise, _conjoin([EquivF(p.left, p.right) for p in d.parts]), env)
+            or not any(_match(c, lit, env) for c in _conjuncts(conclusion))):
+        raise ValueError(f"a {d.rule} step does not derive {text_of_form(lit)} from its parts")
+    return _instance(_SCHEMAS[d.rule], env)
+
+
+def _conjuncts(f: Form) -> tuple[Form, ...]:
+    """f and, for a conjunction, its two operands."""
+    return (f, f.left, f.right) if type(f) is And else (f,)
+
+
 def witness_to_proof(witness: CircularWitness, literals) -> list[ProofLine]:
     """Compile a circularity witness into a hypothesis-free Hilbert proof.
 
@@ -525,25 +544,13 @@ def witness_to_proof(witness: CircularWitness, literals) -> list[ProofLine]:
         lit = EquivF(d.left, d.right)
         if lit in derived:
             return derived[lit]
-        match d:
-            case DInput():
-                if lit not in position:
-                    raise ValueError(f"witness uses unknown premise {text_of_form(lit)}")
-                used = frozenset((position[lit],))
-                found = add(mk_imp(hypothesis(used), lit), "taut"), used
-            case DSym(_, _, of):
-                found = chain([derive(of)], _axiom("symmetry", x=of.left, y=of.right), lit)
-            case DNegParts(left, right, of):
-                found = chain([derive(of)], _axiom("pattern-neg", x=left, y=right), lit)
-            case DAndParts(_, _, of, _):
-                via = _axiom("pattern-and", x=of.left.left, y=of.left.right,
-                             z=of.right.left, w=of.right.right)
-                found = chain([derive(of)], via, lit)
-            case DTrans(_, _, first, second):
-                via = _axiom("transitivity", x=first.left, y=first.right, z=second.right)
-                found = chain([derive(first), derive(second)], via, lit)
-            case _:
-                raise TypeError(f"unknown derivation node {d!r}")
+        if d.rule == "input":
+            if lit not in position:
+                raise ValueError(f"witness uses unknown premise {text_of_form(lit)}")
+            used = frozenset((position[lit],))
+            found = add(mk_imp(hypothesis(used), lit), "taut"), used
+        else:
+            found = chain([derive(part) for part in d.parts], _law(d, lit), lit)
         derived[lit] = found
         return found
 

@@ -313,6 +313,17 @@ class TestDeepInput:
         assert all(seed["def"][f"b{k}"] == f"a{k}" for k in range(n))
         assert not any(seed["valuation"].values())
 
+    def test_prove_verify_checks_a_deep_taut_line(self, capsys, tmp_path):
+        # the tautology check encodes the ~/& skeleton from an explicit
+        # stack; the only leaf is p
+        deep = "~" * 3000 + "p"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps([{"formula": f"({deep} <-> {deep})", "rule": "taut"}]),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "--machine", "prove-verify", str(path))
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["verdict"] == "ok"
+
     @pytest.mark.xfail(strict=True, reason="witness_to_proof hashes its lines recursively, and "
                        "the premise conjunctions of its lemmas nest as deep as the union path")
     def test_defcheck_proves_a_circle_through_a_long_union_path(self, capsys, tmp_path):

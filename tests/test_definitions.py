@@ -9,7 +9,7 @@ import pytest
 
 import paldef.definitions
 from paldef.definitions import (
-    CircularityDetected, CircularWitness, DefState, DInput, EquivLiteral, PatternClash,
+    CircularityDetected, CircularWitness, DefState, Derivation, EquivLiteral, PatternClash,
     literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
 from paldef.models import truth
@@ -411,9 +411,10 @@ class TestWitness:
                 inner = And(q, inner)
             return inner
 
-        witness = CircularWitness(DInput(p, deep(p)), (), EquivLiteral(True, p, deep(p)))
+        base = Derivation("input", p, deep(p))
+        witness = CircularWitness(base, (), EquivLiteral(True, p, deep(p)))
         assert witness.replay().right is witness.base.right
-        wrong = CircularWitness(DInput(p, deep(p)), (), EquivLiteral(True, p, deep(Neg(p))))
+        wrong = CircularWitness(base, (), EquivLiteral(True, p, deep(Neg(p))))
         with pytest.raises(ValueError, match="witness replays to"):
             wrong.replay()
 
@@ -457,7 +458,7 @@ class TestWitness:
 class TestWitnessDigest:
     # sha256 over every verdict reason and detail, and for each circular set
     # the witness repr and the proof that defcheck writes for it
-    DIGEST = "2fb0fd0371c3a7d3c691adef95013393927b8d559262669cb07619dd98bbe51b"
+    DIGEST = "85e9f9e5ca0da60e4d06a7d49cedc1e4bf4f9540285da830f6c07dd3f4d83e0a"
 
     def test_witness_corpus_is_unchanged(self):
         h = hashlib.sha256()
@@ -475,6 +476,29 @@ class TestWitnessDigest:
         assert h.hexdigest() == self.DIGEST, (
             "the witnesses or their proofs changed; a deliberate change to the "
             "witness shape updates DIGEST and says so in CHANGES.md")
+
+    # sha256 over every verdict reason and detail, and for each circular set
+    # what a user sees of its witness: the conclusion, the description and
+    # the proof that defcheck writes; unlike DIGEST it does not hash the
+    # witness repr, so it pins the output of a change to the node classes
+    PROOF_DIGEST = "31aa1d086880cc7a822816831693f35d56e45c8074abf289a721bf9029deacf1"
+
+    def test_witness_output_is_unchanged(self):
+        h = hashlib.sha256()
+        circular = 0
+        for lines in witness_digest_corpus():
+            equivs, _ = parse_literal_lines("\n".join(lines))
+            res = literal_sat(equivs)
+            h.update(f"{res.reason}|{res.detail}\n".encode())
+            if res.witness is not None:
+                circular += 1
+                h.update(str(res.witness.conclusion).encode())
+                h.update(res.witness.describe().encode())
+                h.update(proof_to_json(witness_to_proof(res.witness, equivs)).encode())
+        assert circular == 1234
+        assert h.hexdigest() == self.PROOF_DIGEST, (
+            "the verdicts, witness texts or proof files changed; a deliberate "
+            "change updates PROOF_DIGEST and says so in CHANGES.md")
 
     # sha256 over each SAT seed as defcheck prints it (every definition and
     # value) and over the reason and detail of every other verdict; the
@@ -555,7 +579,7 @@ class TestGrowth:
     def test_union_paths_are_not_walked_while_unifying(self, monkeypatch, n):
         # every x_k == ~y_k meets the binding of x0 across the union path
         # x0 .. x_k, whose derivation is written out only for a witness
-        budget = Budget(4 * n, "proof-forest reads and DTrans nodes")
+        budget = Budget(4 * n, "proof-forest reads and transitivity nodes")
         _count_lookups(monkeypatch, budget, "_edges")
         monkeypatch.setattr(paldef.definitions, "d_trans",
                             budget.counting(paldef.definitions.d_trans))

@@ -10,7 +10,7 @@ import paldef.proof
 from paldef import syntax
 from paldef.checker import evaluate
 from paldef.definitions import (
-    DInput, DTrans, EquivLiteral, literal_sat, parse_literal_lines,
+    CircularWitness, Derivation, EquivLiteral, literal_sat, parse_literal_lines,
 )
 from paldef.models import Model, dumps, validate
 from paldef.proof import (
@@ -20,13 +20,13 @@ from paldef.proof import (
 )
 from paldef.syntax import (
     And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
-    apply_occ_subst, as_imp, mk_imp, mk_or, occurrences, parse_form, text_of_form,
+    apply_occ_subst, as_iff, as_imp, mk_imp, mk_or, occurrences, parse_form, text_of_form,
     vocabulary,
 )
 
 from helpers import (
     Budget, Depth1Oracle, enumerate_depth1_forms, model_pool, random_bool, random_form,
-    skeleton_leaf_count, truth_table_tautology, witness_proof_files,
+    skeleton_leaf_count, truth_table_tautology, witness_digest_corpus, witness_proof_files,
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
@@ -559,6 +559,53 @@ class TestWitnessProofs:
         assert proof[-1].formula == Neg(_conjunction([parse_form(f) for f in used]))
         assert verify_proof(proof).ok
 
+    def test_every_step_names_a_law_with_a_premise_side(self):
+        rules = set()
+        for lines in witness_digest_corpus():
+            witness = literal_sat(parse_literal_lines("\n".join(lines))[0]).witness
+            if witness is None:
+                continue
+            todo = [witness.base] + [step.premise for step in witness.steps]
+            seen = set()
+            while todo:
+                d = todo.pop()
+                if id(d) not in seen:
+                    seen.add(id(d))
+                    rules.add(d.rule)
+                    todo += d.parts
+        assert rules == {"input", "symmetry", "pattern-neg", "pattern-and", "transitivity"}
+        for rule in rules - {"input"}:
+            schema = paldef.proof._SCHEMAS[rule]
+            assert (as_iff(schema) or as_imp(schema)) is not None, rule
+
+    def test_a_hand_built_derivation_compiles_and_verifies(self):
+        lits = [EquivLiteral(True, p, q), EquivLiteral(True, q, And(p, r))]
+        base = Derivation("transitivity", p, And(p, r), (
+            Derivation("input", p, q), Derivation("input", q, And(p, r))))
+        witness = CircularWitness(base, (), EquivLiteral(True, p, And(p, r)))
+        assert verify_proof(witness_to_proof(witness, lits)).ok
+
+    @pytest.mark.parametrize("rule,parts", [
+        ("transitivity", [(p, q), (s, And(p, r))]),  # the endpoints do not meet
+        ("transitivity", [(p, And(p, r))]),          # one premise short
+        ("transitivity", [(p, q), (q, And(p, r)), (q, q)]),  # one too many
+        ("symmetry", [(p, q)]),                      # derives q == p instead
+        ("pattern-and", [(p, And(p, r))]),           # no conjunction on the left
+        ("pattern-neg", [(Neg(p), Neg(q))]),         # derives p == q instead
+        ("symmetry", []),                            # no premise at all
+        ("reflexivity", [(p, And(p, r))]),           # the law has no premise side
+        ("K", [(p, And(p, r))]),                     # the law is modal
+        ("occurrence-substitution", [(q, And(p, r)), (p, q)]),  # it has a side condition
+        ("modus-ponens", [(p, And(p, r))]),          # no such law
+    ])
+    def test_steps_whose_parts_do_not_fit_their_law_are_refused(self, rule, parts):
+        lits = [EquivLiteral(True, left, right) for left, right in parts]
+        base = Derivation(rule, p, And(p, r), tuple(
+            Derivation("input", left, right) for left, right in parts))
+        witness = CircularWitness(base, (), EquivLiteral(True, p, And(p, r)))
+        with pytest.raises(ValueError, match="does not derive"):
+            witness_to_proof(witness, lits)
+
     @pytest.mark.parametrize("n,line", [(18, None), (19, 105)])
     def test_the_tautology_budget_stops_circular_chains_after_18(self, n, line):
         equivs, _ = parse_literal_lines(
@@ -583,13 +630,10 @@ def _premise_sets(witness, premises):
     found: dict = {}
 
     def rests_on(d) -> frozenset:
-        match d:
-            case DInput():
-                used = frozenset((premises.index(EquivF(d.left, d.right)),))
-            case DTrans(first=first, second=second):
-                used = rests_on(first) | rests_on(second)
-            case _:
-                used = rests_on(d.of)
+        if d.rule == "input":
+            used = frozenset((premises.index(EquivF(d.left, d.right)),))
+        else:
+            used = frozenset().union(*map(rests_on, d.parts))
         found.setdefault(EquivF(d.left, d.right), set()).add(used)
         return used
 

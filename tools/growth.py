@@ -15,8 +15,8 @@ past 18 steps for the tautology budget).
 unify: `literal_sat` on eight families at doubling n, with its time and
 three work counts from a second, instrumented run: the classes the occurs
 check expands (calls of `DefState._dependencies` and `_dependents`), the
-proof-forest reads (`DefState._edges` lookups) plus the `DTrans` nodes built,
-and the parent hops of `rep` (`DefState._parent` lookups).  The families are
+proof-forest reads (`DefState._edges` lookups) plus the transitivity nodes
+built, and the parent hops of `rep` (`DefState._parent` lookups).  The families are
 the chain `x_k == (x_{k+1} & r)` asserted in reverse and in a shuffled order;
 the union paths `x_k == x_{k+1}` then `x_k == ~y_k`; the unions `x_k == z`
 in descending name order; the pair of left-nested conjunctions
