@@ -24,7 +24,7 @@ from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
     ParseError, apply_occ_subst, as_iff, as_imp, is_circular, mk_imp, occurrences,
-    parse_batch, parse_form, postorder, text_of_batch, text_of_form,
+    parse_cited, parse_form, postorder, text_of_batch, text_of_form,
 )
 
 __all__ = [
@@ -213,53 +213,84 @@ def verify_proof(lines) -> ProofOutcome:
 
 
 def proof_to_json(lines) -> str:
-    """The proof file of the lines.  The formulas are printed as one batch,
-    so a subformula the lines share is printed once."""
+    """The proof file of the lines: `{"terms": [...], "lines": [...]}`.
+
+    The formulas are printed as one batch, and each node object that they
+    reach more than once is printed once, as the next term, and cited as
+    `$k` wherever it recurs, in later terms too.
+    """
     lines = list(lines)
+    terms: list[str] = []
     entries = []
-    for line, text in zip(lines, text_of_batch(line.formula for line in lines)):
+    for line, text in zip(lines, text_of_batch((line.formula for line in lines), terms=terms)):
         entry = {"formula": text, "rule": line.rule}
         if line.refs:
             entry["refs"] = list(line.refs)
         if line.agent is not None:
             entry["agent"] = line.agent
         entries.append(entry)
-    return json.dumps(entries, indent=2) + "\n"
+    return json.dumps({"terms": terms, "lines": entries}, indent=2) + "\n"
+
+
+# The lines of a proof file, with every `$k` written out as its term's text,
+# are at most this many times as long as the file.
+_EXPANSION_CAP = 32
 
 
 def proof_from_json(text: str) -> list[ProofLine]:
     """The lines of a proof file; a wrong shape or a formula that does not
-    parse raises ValueError naming the line and the field.
+    parse raises ValueError naming the term, or the line and the field.
 
-    The formulas are parsed as one batch, so a subformula that the lines
-    repeat is read once and is one object in all of them.  The batch takes
-    each line's formula only after the earlier lines are checked and parsed,
-    so the first bad line is the one reported.
+    Each term is parsed once, in order, and `$k` in a later term or a line
+    is the k-th term's tree, one object wherever it is cited.  A JSON list
+    is read as the lines of a file with no terms.  The lines are checked
+    and parsed one at a time, so the first bad line is the one reported.
+    A file whose lines, with every citation written out, would be more than
+    `_EXPANSION_CAP` times as long as the file is an error: a term may cite
+    an earlier term twice, so a short file could stand for exponentially
+    large trees.
     """
-    fields = []  # (rule, refs, agent) of each line whose formula has parsed
+    data = json.loads(text)
+    if isinstance(data, list):
+        data = {"lines": data}
+    json_typed(data, dict, "a proof file")
+    if "lines" not in data:
+        raise ValueError("a proof file is missing key 'lines'")
+    cap = _EXPANSION_CAP * len(text)
+    cited = []  # the (tree, strict, written-out length) of each term
 
-    def formulas():
-        for no, entry in enumerate(json_typed(json.loads(text), list, "a proof file"), start=1):
-            where = f"proof line {no}"
-            json_typed(entry, dict, where)
-            try:
-                formula, rule = entry["formula"], entry["rule"]
-            except KeyError as e:
-                raise ValueError(f"{where} is missing key {e}") from None
-            yield json_typed(formula, str, f'{where}: "formula"')
-            agent = entry.get("agent")
-            fields.append((
-                json_typed(rule, str, f'{where}: "rule"'),
-                tuple(json_typed(ref, int, f'{where}: each of "refs"')
-                      for ref in json_typed(entry.get("refs", []), list, f'{where}: "refs"')),
-                None if agent is None else json_typed(agent, str, f'{where}: "agent"'),
-            ))
+    def read(source, where: str) -> tuple[Form, bool, int]:
+        try:
+            f, strict, size = parse_cited(source, cited)
+        except ParseError as e:
+            raise ValueError(f"{where}: {e}") from None
+        return f, strict, min(size, cap + 1)
 
-    try:
-        forms = parse_batch(formulas())
-    except ParseError as e:
-        raise ValueError(f'proof line {len(fields) + 1}: "formula": {e}') from None
-    return [ProofLine(formula, *rest) for formula, rest in zip(forms, fields)]
+    for no, term in enumerate(json_typed(data.get("terms", []), list, '"terms"'), start=1):
+        where = f"proof term {no}"
+        cited.append(read(json_typed(term, str, where), where))
+    lines = []
+    total = 0
+    for no, entry in enumerate(json_typed(data["lines"], list, '"lines"'), start=1):
+        where = f"proof line {no}"
+        json_typed(entry, dict, where)
+        try:
+            formula, rule = entry["formula"], entry["rule"]
+        except KeyError as e:
+            raise ValueError(f"{where} is missing key {e}") from None
+        where_formula = f'{where}: "formula"'
+        f, _, size = read(json_typed(formula, str, where_formula), where_formula)
+        total += size
+        if total > cap:
+            raise ValueError(f"{where}: with their terms written out, the lines are more "
+                             f"than {_EXPANSION_CAP} times as long as the file")
+        agent = entry.get("agent")
+        lines.append(ProofLine(
+            f, json_typed(rule, str, f'{where}: "rule"'),
+            tuple(json_typed(ref, int, f'{where}: each of "refs"')
+                  for ref in json_typed(entry.get("refs", []), list, f'{where}: "refs"')),
+            None if agent is None else json_typed(agent, str, f'{where}: "agent"')))
+    return lines
 
 
 # ---------------------------------------------------------------------------

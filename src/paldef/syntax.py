@@ -26,7 +26,7 @@ __all__ = [
     "Atom", "Neg", "And", "BoolForm",
     "EquivF", "BoxF", "AnnF", "KdF", "DefIsF", "Form",
     "OccSubst", "ParseError",
-    "parse_bool", "parse_form", "parse_batch", "text_of_bool", "text_of_form", "text_of_batch",
+    "parse_bool", "parse_form", "parse_cited", "text_of_bool", "text_of_form", "text_of_batch",
     "length", "vocabulary",
     "lex_key", "lex_compare", "leaves", "occurrences",
     "apply_occ_subst", "apply_simultaneous", "is_circular",
@@ -379,17 +379,20 @@ def text_of_bool(f: Form) -> str:
     return f.name if type(f) is Atom else _text(f, False)
 
 
-def text_of_batch(forms, sugar: bool = True) -> list[str]:
+def text_of_batch(forms, sugar: bool = True, terms: list | None = None) -> list[str]:
     """The texts of several formulas: `text_of_form` of each, or without
     sugar `text_of_bool` of each.
 
     A node object that the batch reaches more than once is printed once per
     sugar setting and its text reused, so the work grows with the distinct
-    nodes of the batch rather than with the size of its trees.
+    nodes of the batch rather than with the size of its trees.  Given a list
+    terms, that text is appended to terms instead, and the texts, later
+    terms included, cite it as `$k` for the k-th term, which `parse_cited`
+    reads back.
     """
     forms = list(forms)
     memo = _shared_memo(forms)
-    return [_text(f, sugar, memo) for f in forms]
+    return [_text(f, sugar, memo, terms) for f in forms]
 
 
 def _shared_memo(forms: list) -> dict:
@@ -414,7 +417,7 @@ def _shared_memo(forms: list) -> dict:
     return memo
 
 
-def _text(f: Form, sugar: bool, memo: dict | None = None) -> str:
+def _text(f: Form, sugar: bool, memo: dict | None = None, terms: list | None = None) -> str:
     """Fragments are pushed onto a stack in reverse reading order and joined
     once, so no level copies its children's text and depth is unbounded.
 
@@ -424,8 +427,9 @@ def _text(f: Form, sugar: bool, memo: dict | None = None) -> str:
 
     A node whose key `(id(node), sugar)` is in memo is printed once: a
     `(key, start)` marker pushed below its operands joins the fragments from
-    `start` on into its text and stores that text, with the sugar setting
-    the node leaves behind, for its later occurrences.
+    `start` on into its text and stores that text, or its citation once
+    the text is appended to terms, with the sugar setting the node leaves
+    behind, for its later occurrences.
     """
     resugar = sugar
     out: list[str] = []
@@ -477,6 +481,9 @@ def _text(f: Form, sugar: bool, memo: dict | None = None) -> str:
             key, start = g
             text = "".join(out[start:])
             del out[start:]
+            if terms is not None:
+                terms.append(text)
+                text = f"${len(terms)}"
             out.append(text)
             memo[key] = text, sugar
             continue
@@ -512,8 +519,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos}: {text[pos:pos + 12]!r})")
 
 
-# one match per token: a name, an operator, or any other character (an error)
-_TOKEN_RE = re.compile(r"\s*(?:([a-z][a-z0-9_]*)|(<->|->|==|!=|:=|[~&|()\[\]])|(\S))")
+# one match per token: a name, an operator, a citation `$k` of a proof file's
+# term, or any other character (an error)
+_TOKEN_RE = re.compile(
+    r"\s*(?:([a-z][a-z0-9_]*)|(<->|->|==|!=|:=|[~&|()\[\]])|(\$\d+)|(\S))")
 
 # binding strength of the binary operators, loosest first; `->` groups to
 # the right, the others to the left.  The prefix operators `~`, `box i`,
@@ -524,65 +533,7 @@ _CONNECTIVES = {"&": And, "|": mk_or, "->": mk_imp, "<->": mk_iff}
 _CLOSER = {"(": ")", "[": "]"}
 
 
-# A batch's memo keeps parenthesized spans of at least _SPAN_KEY characters,
-# at most _SPAN_SIBLINGS in one node, and _SPAN_BUDGET characters of span
-# text per character of the batch; a span past a limit is read again.
-_SPAN_KEY = 16
-_SPAN_SIBLINGS = 16
-_SPAN_BUDGET = 8
-
-
-class _SpanMemo:
-    """The parenthesized spans that one batch of texts has parsed, each with
-    its operand, so that `_parse` reads a span's text only once.
-
-    The operand of a span depends on nothing outside it: `reduce` never
-    crosses an open '(', so a span that parsed once parses the same way
-    wherever it stands.  Its loose position is kept relative to the '('.
-
-    A node is a pair (spans, children): the node reached by a prefix of w
-    characters holds the spans of w to 2w - 1 characters that start with
-    it, and its children are keyed by prefixes of 2w characters.  A span's
-    '(' is matched by its last ')', so no span is a prefix of another, or
-    agrees with a text past the end of the text's own span: a lookup finds
-    at most one span and slices about twice that far.  The limits keep
-    hostile input linear; the budget stops deeply nested text from filling
-    the memo with the square of its length.
-    """
-
-    def __init__(self):
-        self.root: tuple[list, dict] = ([], {})
-        self.atoms: dict[str, tuple[Atom, bool, None]] = {}
-        self.budget = 0
-
-    def find(self, text: str, pos: int):
-        """(span, operand) of the kept span that starts at pos, or None."""
-        node, width = self.root, _SPAN_KEY
-        while (node := node[1].get(text[pos:pos + width])) is not None:
-            for known in node[0]:
-                if text.startswith(known[0], pos):
-                    return known
-            width *= 2
-        return None
-
-    def store(self, text: str, start: int, end: int, operand) -> None:
-        size = end - start
-        if size < _SPAN_KEY or size > self.budget:
-            return
-        node, width = self.root, _SPAN_KEY
-        while True:
-            node = node[1].setdefault(text[start:start + width], ([], {}))
-            if size < 2 * width:
-                break
-            width *= 2
-        if len(node[0]) < _SPAN_SIBLINGS:
-            self.budget -= size
-            f, boolean, loose = operand
-            node[0].append((text[start:end],
-                            (f, boolean, None if loose is None else loose - start)))
-
-
-def _parse(text: str, memo: _SpanMemo | None = None) -> tuple[Form, bool, int | None]:
+def _parse(text: str, terms: list | None = None) -> tuple[Form, bool, int | None, int]:
     """Read text once, left to right, with an operand and an operator stack.
 
     Each operand is (form, boolean, loose): its tree; whether the text is a
@@ -592,16 +543,17 @@ def _parse(text: str, memo: _SpanMemo | None = None) -> tuple[Form, bool, int | 
     from being one.  `==`, `!=`, `:=`, `kd` and `kx` take strict operands
     only.
 
-    With a memo, a '(' that starts a span the memo holds pushes that span's
-    operand, and tokenizing resumes after its ')'.
+    With a list terms of (form, strict, size) triples, `$k` pushes the k-th
+    form as one operand, strict exactly when strict is true; without, `$`
+    is an unexpected character.  Returns the operand of the whole text and
+    the text's length with each `$k` counted as size characters.
     """
     operands: list[tuple[Form, bool, int | None]] = []
     # (binding strength, operator, position, agent or announced formula);
     # an open '(' or '[' waits here with strength 0, above a sentinel
     ops: list[tuple[int, str, int, object]] = [(-1, "", 0, None)]
-    atoms: dict[str, tuple[Atom, bool, None]] = {} if memo is None else memo.atoms
-    if memo is not None:
-        memo.budget += _SPAN_BUDGET * len(text)
+    atoms: dict[str, tuple[Atom, bool, None]] = {}
+    written = len(text)
 
     def reduce(strength: int) -> None:
         while ops[-1][0] >= strength:
@@ -639,62 +591,58 @@ def _parse(text: str, memo: _SpanMemo | None = None) -> tuple[Form, bool, int | 
 
     want_operand = True
     keyword = None  # (word, position) of a `box`, `kd` or `kx` awaiting its agent
-    resume = 0  # where tokenizing starts again after a span the memo supplied
-    while resume is not None:
-        tokens, resume = _TOKEN_RE.finditer(text, resume), None
-        for m in tokens:
-            name, sym, other = m.groups()
-            pos = m.start(m.lastindex)
-            if other is not None:
-                raise ParseError("unexpected character", text, pos)
-            if keyword is not None:
-                if name is None or name in _KEYWORDS:
-                    raise ParseError("expected an agent name", text, pos)
-                ops.append((_PREFIX, keyword[0], keyword[1], name))
-                keyword = None
-            elif want_operand:
-                if name in _KEYWORDS:
-                    keyword = name, pos
-                elif name is not None:
-                    operand = atoms.get(name)
-                    if operand is None:
-                        operand = atoms[name] = (_unchecked(Atom, name=name), True, None)
-                    operands.append(operand)
-                    want_operand = False
-                elif sym == "~":
-                    ops.append((_PREFIX, "~", pos, None))
-                elif sym == "(" or sym == "[":
-                    if memo is not None and sym == "(" and (known := memo.find(text, pos)):
-                        span, (f, boolean, loose) = known
-                        operands.append((f, boolean, None if loose is None else pos + loose))
-                        want_operand = False
-                        resume = pos + len(span)
-                        break
-                    ops.append((0, sym, pos, None))
-                else:
-                    raise ParseError("expected a formula", text, pos)
-            elif sym in _BINARY:
-                strength = _BINARY[sym]
-                reduce(strength + 1 if sym == "->" else strength)
-                ops.append((strength, sym, pos, None))
-                want_operand = True
-            elif sym == ")" or sym == "]":
-                reduce(1)
-                if _CLOSER.get(ops[-1][1]) != sym:
-                    raise ParseError(f"unmatched '{sym}'", text, pos)
-                start = ops.pop()[2]
-                if sym == "]":
-                    ops.append((_PREFIX, "ann", pos, operands.pop()[0]))
-                    want_operand = True
-                    continue
-                if operands[-1][1]:
-                    f, _, loose = operands[-1]
-                    # one conjunction in parentheses is strict; a strict formula is not
-                    operands[-1] = (f, True, None) if loose is not None else (f, False, pos)
-                if memo is not None:
-                    memo.store(text, start, pos + 1, operands[-1])
+    for m in _TOKEN_RE.finditer(text):
+        name, sym, cite, other = m.groups()
+        pos = m.start(m.lastindex)
+        if other is not None or (cite is not None and terms is None):
+            raise ParseError("unexpected character", text, pos)
+        if keyword is not None:
+            if name is None or name in _KEYWORDS:
+                raise ParseError("expected an agent name", text, pos)
+            ops.append((_PREFIX, keyword[0], keyword[1], name))
+            keyword = None
+        elif want_operand:
+            if name in _KEYWORDS:
+                keyword = name, pos
+            elif name is not None:
+                operand = atoms.get(name)
+                if operand is None:
+                    operand = atoms[name] = (_unchecked(Atom, name=name), True, None)
+                operands.append(operand)
+                want_operand = False
+            elif cite is not None:
+                k = int(cite[1:])
+                if not 0 < k <= len(terms):
+                    raise ParseError(f"{cite} cites no earlier term", text, pos)
+                f, strict, size = terms[k - 1]
+                written += size - len(cite)
+                operands.append((f, strict, None if strict else pos))
+                want_operand = False
+            elif sym == "~":
+                ops.append((_PREFIX, "~", pos, None))
+            elif sym == "(" or sym == "[":
+                ops.append((0, sym, pos, None))
             else:
-                raise ParseError("expected an operator or the end of the input", text, pos)
+                raise ParseError("expected a formula", text, pos)
+        elif sym in _BINARY:
+            strength = _BINARY[sym]
+            reduce(strength + 1 if sym == "->" else strength)
+            ops.append((strength, sym, pos, None))
+            want_operand = True
+        elif sym == ")" or sym == "]":
+            reduce(1)
+            if _CLOSER.get(ops[-1][1]) != sym:
+                raise ParseError(f"unmatched '{sym}'", text, pos)
+            ops.pop()
+            if sym == "]":
+                ops.append((_PREFIX, "ann", pos, operands.pop()[0]))
+                want_operand = True
+            elif operands[-1][1]:
+                f, _, loose = operands[-1]
+                # one conjunction in parentheses is strict; a strict formula is not
+                operands[-1] = (f, True, None) if loose is not None else (f, False, pos)
+        else:
+            raise ParseError("expected an operator or the end of the input", text, pos)
     end = len(text)
     if keyword is not None:
         raise ParseError("expected an agent name", text, end)
@@ -703,12 +651,12 @@ def _parse(text: str, memo: _SpanMemo | None = None) -> tuple[Form, bool, int | 
     reduce(1)
     if len(ops) > 1:
         raise ParseError(f"expected '{_CLOSER[ops[-1][1]]}'", text, end)
-    return operands[0]
+    return (*operands[0], written)
 
 
 def parse_bool(text: str) -> BoolForm:
     """Parse strict boolean-layer syntax. Unparenthesized '&' is an error."""
-    P, boolean, loose = _parse(text)
+    P, boolean, loose, _ = _parse(text)
     if loose is None:
         return P
     if boolean:
@@ -721,17 +669,18 @@ def parse_form(text: str) -> Form:
     return _parse(text)[0]
 
 
-def parse_batch(texts) -> list[Form]:
-    """The trees of several texts: `parse_form` of each, with the same error
-    for the first text that does not parse.
+def parse_cited(text: str, terms: list) -> tuple[Form, bool, int]:
+    """Parse a text of a proof file: `parse_form`, except that `$k` stands
+    for the k-th (form, strict, size) triple of terms, as one operand that
+    is a strict boolean formula exactly when strict is true.
 
-    A parenthesized span whose exact text the batch has already parsed is
-    not read again, and its tree is the same object wherever it recurs, so
-    texts that repeat long spans are read in a fraction of their length.
-    texts may be any iterable; each is parsed before the next is taken.
+    Returns the tree, whether the text is a strict boolean formula, and its
+    length with each `$k` written out as a text of the k-th size: the
+    triple by which a later text cites this one.  The length is summed over
+    the citations of the text, not counted on the tree.
     """
-    memo = _SpanMemo()
-    return [_parse(text, memo)[0] for text in texts]
+    f, _, loose, size = _parse(text, terms)
+    return f, loose is None, size
 
 
 # ---------------------------------------------------------------------------

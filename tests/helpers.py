@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 from paldef.definitions import literal_sat, parse_literal_lines
@@ -679,3 +680,12 @@ def witness_proof_files() -> tuple[str, ...]:
         if res.witness is not None:
             files.append(proof_to_json(witness_to_proof(res.witness, equivs)))
     return tuple(files)
+
+
+def written_out(text: str, terms) -> str:
+    """A text of a proof file with each `$k` replaced by the k-th of terms,
+    itself written out: the text the list-shape file would hold."""
+    full: list[str] = []
+    for term in terms:
+        full.append(re.sub(r"\$(\d+)", lambda m: full[int(m[1]) - 1], term))
+    return re.sub(r"\$(\d+)", lambda m: full[int(m[1]) - 1], text)

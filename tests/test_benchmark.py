@@ -4,8 +4,9 @@ Tier-1 does not collect bench/, and bench/test_bench.py runs the workloads
 untraced.  This runs one traced pass on a copy of the checkout, so nothing
 is written under bench/out/.  The tableau pass checks unsat verdicts against
 the test suite's Depth1Oracle; the model-check pass checks every verdict
-against the bench's own reference evaluator.  Both fail if a function the
-tracer wraps by name is gone.
+against the bench's own reference evaluator; the def-witness pass checks
+every `defcheck` verdict and `prove-verify` answer against the bench's
+reference.  Each fails if a function the tracer wraps by name is gone.
 """
 
 import json
@@ -19,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tableau", "model-check"])
+@pytest.mark.parametrize("workload", ["tableau", "model-check", "def-witness"])
 def test_traced_pass_is_correct(tmp_path, workload):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     for name in ("bench", "src"):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from paldef import syntax
 from paldef.cli import main
 from paldef.models import dumps, fixture_path, load
 from paldef.proof import proof_from_json, verify_proof
+
+from helpers import written_out
 
 
 def run(capsys, *argv):
@@ -159,7 +162,10 @@ class TestDefcheck:
         code, _, _ = run(capsys, "defcheck", str(lits), "--witness-out", str(out_path))
         assert code == 1
         text = out_path.read_text(encoding="utf-8")
-        assert "x0 == (x1 & r)" in text and "y0" not in text and "z24" not in text
+        data = json.loads(text)
+        assert written_out(data["lines"][-1]["formula"], data["terms"]) == \
+            "~((x0 == (x1 & r)) & (x1 == (x0 & r)))"
+        assert "y0" not in text and "z24" not in text
         code, out, _ = run(capsys, "prove-verify", str(out_path))
         assert code == 0 and out.strip() == "ok"
 
@@ -180,6 +186,57 @@ class TestProveVerify:
         ]), encoding="utf-8")
         code, out, _ = run(capsys, "prove-verify", str(bad))
         assert code == 1 and "line 1" in out
+
+    def test_a_list_of_lines_still_verifies(self, capsys, tmp_path):
+        lits = tmp_path / "circ.lits"
+        lits.write_text("p == (q & r)\nq == (p & r)\n", encoding="utf-8")
+        named = tmp_path / "named.json"
+        run(capsys, "defcheck", str(lits), "--witness-out", str(named))
+        data = json.loads(named.read_text(encoding="utf-8"))
+        assert data["terms"]
+        for entry in data["lines"]:
+            entry["formula"] = written_out(entry["formula"], data["terms"])
+        listed = tmp_path / "listed.json"
+        listed.write_text(json.dumps(data["lines"], indent=2), encoding="utf-8")
+        for path in (named, listed):
+            code, out, _ = run(capsys, "--machine", "prove-verify", str(path))
+            assert code == 0 and json.loads(out)["details"] == {"lines": len(data["lines"])}
+
+    @pytest.mark.parametrize("terms, formula, where", [
+        (["(p & q)", "~$2"], "$1", 'proof term 2: $2 cites no earlier term'),
+        (["(p & q)", "~$0"], "$1", 'proof term 2: $0 cites no earlier term'),
+        (["(p & q)"], "($1 -> $2)", 'proof line 2: "formula": $2 cites no earlier term'),
+        (["(p & q)", "~$1"], "(p -> $", 'proof line 2: "formula": unexpected character'),
+        (["(p & q)", "$1 &"], "$1", 'proof term 2: expected a formula'),
+        (["(p & q)", 7], "$1", 'proof term 2 must be a string'),
+    ])
+    def test_a_bad_term_or_citation_is_an_error_naming_where_it_stands(
+            self, capsys, tmp_path, terms, formula, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"terms": terms, "lines": [
+            {"formula": "(p -> p)", "rule": "taut"}, {"formula": formula, "rule": "taut"}]}),
+            encoding="utf-8")
+        code, out, _ = run(capsys, "--machine", "prove-verify", str(path))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["verdict"] == "error"
+        assert payload["details"]["message"].startswith(where)
+
+    def test_a_file_of_doubling_terms_is_refused_at_once(self, capsys, tmp_path):
+        # 31 terms, each citing the one before twice: the one line stands
+        # for a formula of 2^31 atoms, which no verifier could walk
+        terms = ["(p & p)"] + [f"(${k} & ${k})" for k in range(1, 31)]
+        path = tmp_path / "doubling.json"
+        path.write_text(json.dumps({"terms": terms, "lines": [
+            {"formula": "($31 -> $31)", "rule": "taut"}]}), encoding="utf-8")
+        assert path.stat().st_size < 600
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--machine", "prove-verify", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert json.loads(out)["details"]["message"] == (
+            "proof line 1: with their terms written out, the lines are more than "
+            "32 times as long as the file")
 
 
 def _fig1_with(path, value):
@@ -230,6 +287,10 @@ class TestMalformedFiles:
         (("prove-verify",), _line(formula="((p -> p) & (q | r))")
          + _line(formula="((p -> p) & (q | r)) q"),
          'proof line 2: "formula": expected an operator or the end of the input (at position 21'),
+        (("prove-verify",), 5, "a proof file must be an object"),
+        (("prove-verify",), {"terms": []}, "a proof file is missing key 'lines'"),
+        (("prove-verify",), {"terms": "$1", "lines": []}, '"terms" must be a list'),
+        (("prove-verify",), {"terms": [], "lines": {}}, '"lines" must be a list'),
     ])
     def test_wrong_shape_is_an_error_naming_the_field(self, capsys, tmp_path,
                                                        argv, content, field):
@@ -261,6 +322,26 @@ class TestMiscellaneous:
     def test_missing_file_is_an_error(self, capsys):
         code, _, err = run(capsys, "prove-verify", "/nonexistent/proof.json")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("parse",), "pass a formula inline or with --file"),
+        (("parse", "p & $1"), "unexpected character (at position 4: '$1')"),
+        (("check", "/nonexistent/model.json", "p"),
+         "no such model file or fixture: /nonexistent/model.json"),
+        (("check", "{no_actual}", "p"), "model has no actual world; pass --world"),
+        (("defcheck", "/nonexistent/input.lits"), "no such file: /nonexistent/input.lits"),
+    ])
+    def test_an_error_is_one_json_object(self, capsys, tmp_path, argv, message):
+        model = _fig1_with(("actual",), None)
+        del model["actual"]
+        path = tmp_path / "no_actual.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        argv = [arg.format(no_actual=path) for arg in argv]
+        code, out, err = run(capsys, "--machine", *argv)
+        assert code == 2 and err == ""
+        assert out.count("\n") == 1
+        assert json.loads(out) == {"subcommand": argv[0], "verdict": "error",
+                                   "details": {"message": message}}
 
     def test_machine_error_payload(self, capsys):
         code, out, _ = run(capsys, "--machine", "check", "fig1.json", "p &")

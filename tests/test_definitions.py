@@ -10,13 +10,13 @@ import pytest
 import paldef.definitions
 from paldef.definitions import (
     CircularityDetected, CircularWitness, DefState, Derivation, EquivLiteral, PatternClash,
-    literal_sat, merge, merge_substitution, parse_literal_lines, pick,
+    WitnessStep, literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
 from paldef.models import truth
-from paldef.proof import proof_to_json, witness_to_proof
+from paldef.proof import proof_from_json, proof_to_json, witness_to_proof
 from paldef.syntax import (
-    And, Atom, Neg, apply_simultaneous, is_circular, length, parse_bool,
-    text_of_batch, vocabulary,
+    And, Atom, Neg, OccSubst, apply_simultaneous, is_circular, length, parse_bool,
+    text_of_batch, text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -418,6 +418,24 @@ class TestWitness:
         with pytest.raises(ValueError, match="witness replays to"):
             wrong.replay()
 
+    @pytest.mark.parametrize("premise, subst, conclusion, message", [
+        # the step names q, but its premise defines r
+        (Derivation("input", r, And(p, s)), OccSubst(1, q, And(p, s)), And(p, s),
+         "substitutes a different atom"),
+        # the step puts (p & t) where its premise gives (p & s)
+        (Derivation("input", q, And(p, s)), OccSubst(1, q, And(p, t)), And(p, t),
+         "replacement differs"),
+        # the chain replays to p == (s & s), in which p does not occur
+        (Derivation("input", q, s), OccSubst(1, q, s), And(s, s), "is not circular"),
+    ])
+    def test_replay_refuses_a_chain_that_does_not_hold(self, premise, subst, conclusion,
+                                                       message):
+        witness = CircularWitness(Derivation("input", p, And(q, s)),
+                                  (WitnessStep(premise, subst),),
+                                  EquivLiteral(True, p, conclusion))
+        with pytest.raises(ValueError, match=message):
+            witness.replay()
+
     def test_union_edge_inside_the_cycle(self):
         # the dependency cycle runs through a class whose bound atom differs
         # from the atom the previous image mentions, so the witness stitches
@@ -458,7 +476,7 @@ class TestWitness:
 class TestWitnessDigest:
     # sha256 over every verdict reason and detail, and for each circular set
     # the witness repr and the proof that defcheck writes for it
-    DIGEST = "85e9f9e5ca0da60e4d06a7d49cedc1e4bf4f9540285da830f6c07dd3f4d83e0a"
+    DIGEST = "b9022d1fff5893575d0e1c3e9733782e329eaf69e204dfd50118f70ab3db12d8"
 
     def test_witness_corpus_is_unchanged(self):
         h = hashlib.sha256()
@@ -481,7 +499,7 @@ class TestWitnessDigest:
     # what a user sees of its witness: the conclusion, the description and
     # the proof that defcheck writes; unlike DIGEST it does not hash the
     # witness repr, so it pins the output of a change to the node classes
-    PROOF_DIGEST = "31aa1d086880cc7a822816831693f35d56e45c8074abf289a721bf9029deacf1"
+    PROOF_DIGEST = "3f75725ba28095fb3e04ce3ac637414a1ddae811258fb4a35287dac20d9dad0c"
 
     def test_witness_output_is_unchanged(self):
         h = hashlib.sha256()
@@ -499,6 +517,31 @@ class TestWitnessDigest:
         assert h.hexdigest() == self.PROOF_DIGEST, (
             "the verdicts, witness texts or proof files changed; a deliberate "
             "change updates PROOF_DIGEST and says so in CHANGES.md")
+
+    # what PROOF_DIGEST hashes, except that each proof is read back from its
+    # file and hashed line by line, so it pins the proofs through a change
+    # to the file's layout
+    LINES_DIGEST = "23f64e5c4d67c3a65fdf6ba77a277ddf15d19795af9fc3519c192b50a0ff0077"
+
+    def test_witness_proofs_read_back_unchanged(self):
+        h = hashlib.sha256()
+        circular = 0
+        for lines in witness_digest_corpus():
+            equivs, _ = parse_literal_lines("\n".join(lines))
+            res = literal_sat(equivs)
+            h.update(f"{res.reason}|{res.detail}\n".encode())
+            if res.witness is not None:
+                circular += 1
+                h.update(str(res.witness.conclusion).encode())
+                h.update(res.witness.describe().encode())
+                text = proof_to_json(witness_to_proof(res.witness, equivs))
+                for line in proof_from_json(text):
+                    h.update(f"{text_of_form(line.formula)}|{line.rule}|{line.refs}|"
+                             f"{line.agent}\n".encode())
+        assert circular == 1234
+        assert h.hexdigest() == self.LINES_DIGEST, (
+            "the verdicts, witness texts or the proofs read back from their "
+            "files changed; a change of file layout alone leaves LINES_DIGEST as it is")
 
     # sha256 over each SAT seed as defcheck prints it (every definition and
     # value) and over the reason and detail of every other verdict; the

@@ -27,6 +27,7 @@ from paldef.syntax import (
 from helpers import (
     Budget, Depth1Oracle, enumerate_depth1_forms, model_pool, random_bool, random_form,
     skeleton_leaf_count, truth_table_tautology, witness_digest_corpus, witness_proof_files,
+    written_out,
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
@@ -192,6 +193,11 @@ class TestVerifyProof:
         outcome = verify_proof(proof)
         assert not outcome.ok and outcome.line == 1
 
+    def test_necessitation_needs_an_agent(self):
+        proof = [ProofLine(parse_form("p -> p"), "taut"),
+                 ProofLine(parse_form("box i (p -> p)"), "nec", (1,))]
+        assert verify_proof(proof) == paldef.proof.ProofOutcome(False, 2, "nec needs an agent")
+
     def test_json_round_trip(self):
         proof = [ProofLine(parse_form("p -> p"), "taut"),
                  ProofLine(parse_form("box i (p -> p)"), "nec", (1,), "i")]
@@ -199,7 +205,8 @@ class TestVerifyProof:
 
 
 def _file_data(proof) -> list[dict]:
-    """The JSON value of a proof file, built as the entries it holds."""
+    """The lines of a proof file's JSON value, built as the entries they
+    hold, with each formula written out in full."""
     data = []
     for line in proof:
         entry = {"formula": text_of_form(line.formula), "rule": line.rule}
@@ -212,11 +219,13 @@ def _file_data(proof) -> list[dict]:
 
 
 def _lines_parsed_alone(text: str) -> list[ProofLine]:
-    """The lines of a well-shaped proof file, each formula parsed on its own."""
+    """The lines of a well-shaped proof file, each formula written out and
+    parsed on its own."""
+    data = json.loads(text)
     lines = []
-    for no, entry in enumerate(json.loads(text), start=1):
+    for no, entry in enumerate(data["lines"], start=1):
         try:
-            formula = parse_form(entry["formula"])
+            formula = parse_form(written_out(entry["formula"], data["terms"]))
         except ParseError as e:
             raise ValueError(f'proof line {no}: "formula": {e}') from None
         lines.append(ProofLine(formula, entry["rule"], tuple(entry.get("refs", ())),
@@ -225,25 +234,27 @@ def _lines_parsed_alone(text: str) -> list[ProofLine]:
 
 
 def _outcome(read, text: str) -> str:
+    """The verdict on the lines read from text, or the error without its
+    position, which a written-out formula moves."""
     try:
         return str(verify_proof(read(text)))
     except ValueError as e:
-        return f"error: {e}"
+        return "error: " + str(e).split(" (at position")[0]
 
 
-def _corrupt(rng, data: list[dict]) -> list[dict]:
+def _corrupt(rng, data: dict) -> dict:
     """data with one line's formula, refs or rule damaged."""
-    data = [dict(entry) for entry in data]
-    entry = rng.choice(data)
+    data = {"terms": data["terms"], "lines": [dict(entry) for entry in data["lines"]]}
+    entry = rng.choice(data["lines"])
     kind = rng.randrange(4)
     if kind == 0:
         tokens = syntax._TOKEN_RE.findall(entry["formula"])
         del tokens[rng.randrange(len(tokens))]
         entry["formula"] = " ".join("".join(token) for token in tokens)
     elif kind == 1:
-        entry["formula"] = rng.choice(data)["formula"]
+        entry["formula"] = rng.choice(data["lines"])["formula"]
     elif kind == 2:
-        entry["refs"] = [rng.randint(0, len(data)) for _ in range(rng.randint(1, 2))]
+        entry["refs"] = [rng.randint(0, len(data["lines"])) for _ in range(rng.randint(1, 2))]
     else:
         entry["rule"] = rng.choice(["axiom", "taut", "mp", "nec"])
     return data
@@ -264,7 +275,14 @@ class TestProofFiles:
         for text in rng.sample(files, 20) + list(files[-3:]):
             proofs.append(proof_from_json(text))
         for proof in proofs:
-            assert proof_to_json(proof) == json.dumps(_file_data(proof), indent=2) + "\n"
+            text = proof_to_json(proof)
+            data = json.loads(text)
+            assert text == json.dumps(data, indent=2) + "\n"
+            assert list(data) == ["terms", "lines"]
+            lines = data["lines"]
+            for entry in lines:
+                entry["formula"] = written_out(entry["formula"], data["terms"])
+            assert lines == _file_data(proof)
 
     def test_batch_parsed_files_get_the_verdicts_of_lines_parsed_alone(self):
         rng = random.Random(53)
@@ -534,8 +552,10 @@ class TestWitnessProofs:
             proof = witness_to_proof(res.witness, lits)
             assert verify_proof(proof).ok
             # the file prints the lines as one batch, with the same texts
-            assert [entry["formula"] for entry in json.loads(proof_to_json(proof))] == [
-                text_of_form(line.formula) for line in proof]
+            # once its terms are written out
+            data = json.loads(proof_to_json(proof))
+            assert [written_out(entry["formula"], data["terms"])
+                    for entry in data["lines"]] == [text_of_form(line.formula) for line in proof]
             carried = {}
             for line in proof:
                 lemma = _lemma(line, premises)
@@ -547,6 +567,14 @@ class TestWitnessProofs:
             assert carried.keys() == allowed.keys()
             checked += 1
         assert checked > 150 and narrowed > 300
+
+    def test_literals_without_a_premise_the_witness_uses_are_refused(self):
+        equivs, _ = parse_literal_lines("p == (q & r)\nq == (p & r)")
+        witness = literal_sat(equivs).witness
+        negated = EquivLiteral(False, equivs[1].left, equivs[1].right)
+        for given in (equivs[:1], equivs[1:], [negated, equivs[0]]):
+            with pytest.raises(ValueError, match="witness uses unknown premise"):
+                witness_to_proof(witness, given)
 
     def test_unused_premises_stay_out_of_the_lemmas(self):
         used = ["x0 == (x1 & r)", "x1 == (x0 & r)"]
@@ -667,17 +695,23 @@ def _lemma(line, premises):
 
 class TestGrowth:
     """Parser work at doubling sizes.  Each line of a circular chain's proof
-    repeats earlier lines' premise conjunctions and lemmas as parenthesized
-    spans, so its file holds about n^2 tokens: 12,230, 43,118 and 160,190 at
-    n = 12, 24 and 48.  Reading each repeated span once reads 7-9% of them."""
+    repeats earlier lines' premise conjunctions and lemmas, so its lines,
+    written out, hold about n^2 tokens: 12,230, 43,118 and 160,190 at n = 12,
+    24 and 48.  The file names each of them once, as a term, and holds
+    11.0%, 9.0% and 7.7% of those tokens, each of which the reader reads
+    once."""
 
     @pytest.mark.parametrize("n", [12, 24, 48])
     def test_a_proof_file_reads_each_repeated_span_once(self, monkeypatch, n):
         equivs, _ = parse_literal_lines("\n".join(f"x{k} == (x{(k + 1) % n} & r)"
                                                   for k in range(n)))
         text = proof_to_json(witness_to_proof(literal_sat(equivs).witness, equivs))
+        data = json.loads(text)
         tokens = syntax._TOKEN_RE
-        in_file = sum(len(tokens.findall(entry["formula"])) for entry in json.loads(text))
+        texts = data["terms"] + [entry["formula"] for entry in data["lines"]]
+        in_file = sum(len(tokens.findall(t)) for t in texts)
+        written = sum(len(tokens.findall(written_out(entry["formula"], data["terms"])))
+                      for entry in data["lines"])
         read = []
 
         class CountingTokens:
@@ -688,7 +722,7 @@ class TestGrowth:
 
         monkeypatch.setattr(syntax, "_TOKEN_RE", CountingTokens())
         assert len(proof_from_json(text)) == 6 * n - 1
-        assert len(read) <= in_file // 10
+        assert len(read) == in_file <= written // 7
 
 
 class TestTableauGrowth:

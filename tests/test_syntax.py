@@ -16,14 +16,14 @@ from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
     And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
     apply_occ_subst, apply_simultaneous, as_or, is_circular, leaves, length,
-    lex_compare, lex_key, mk_iff, mk_imp, mk_or, occurrences, parse_batch,
-    parse_bool, parse_form, postorder, substitute, text_of_batch, text_of_bool,
+    lex_compare, lex_key, mk_iff, mk_imp, mk_or, occurrences, parse_bool,
+    parse_cited, parse_form, postorder, substitute, text_of_batch, text_of_bool,
     text_of_form, vocabulary,
 )
 
 from helpers import (
     all_bools, random_bool, random_form, sequential_simultaneous,
-    witness_proof_files, ATOMS, AGENTS,
+    witness_proof_files, written_out, ATOMS, AGENTS,
 )
 
 p, q, r, s = (Atom(n) for n in "pqrs")
@@ -301,6 +301,10 @@ class TestOccSubst:
         with pytest.raises(ValueError):
             apply_occ_subst(OccSubst(1, s, q), And(p, p))
 
+    def test_occurrences_count_from_one(self):
+        with pytest.raises(ValueError, match="occurrence index starts at 1"):
+            OccSubst(0, p, q)
+
     def test_occurrence_count_arithmetic(self):
         rng = random.Random(3)
         for _ in range(500):
@@ -528,67 +532,102 @@ def _error(parse, text: str):
     return str(err.value), err.value.pos
 
 
+def _read(texts, terms=()) -> list:
+    """The trees of texts that cite terms, each term read once."""
+    cited = []
+    for term in terms:
+        cited.append(parse_cited(term, cited))
+    return [parse_cited(text, cited)[0] for text in texts]
+
+
 class TestBatchParser:
+    """A proof file's texts: terms, each read once, and lines that cite them."""
+
     def test_witness_proofs_parse_as_one_formula_at_a_time(self):
+        shortened = 0
         for text in witness_proof_files():
-            texts = [entry["formula"] for entry in json.loads(text)]
-            assert _reprs(parse_batch(texts)) == _reprs(map(parse_form, texts))
+            data = json.loads(text)
+            texts = [entry["formula"] for entry in data["lines"]]
+            full = [written_out(t, data["terms"]) for t in texts]
+            cited = []
+            for term in data["terms"]:
+                cited.append(parse_cited(term, cited))
+            read = [parse_cited(t, cited) for t in texts]
+            assert _reprs(f for f, _, _ in read) == _reprs(map(parse_form, full))
+            # each text's length with its citations written out
+            assert [size for _, _, size in read] == list(map(len, full))
+            shortened += sum(t != f for t, f in zip(texts, full))
+        assert shortened > 10_000
 
-    def test_random_batches_parse_as_one_formula_at_a_time(self, monkeypatch):
-        hits = []
-        find = syntax._SpanMemo.find
-
-        def counting_find(memo, text, pos):
-            known = find(memo, text, pos)
-            hits.append(known is not None)
-            return known
-
-        monkeypatch.setattr(syntax._SpanMemo, "find", counting_find)
-        accepted = list(_split_corpus()[0])
+    def test_random_batches_parse_as_one_formula_at_a_time(self):
         rng = random.Random(43)
-        rng.shuffle(accepted)
-        while accepted:
-            batch = [accepted.pop() for _ in range(min(len(accepted), rng.randint(1, 60)))]
-            # texts that repeat earlier ones as parenthesized spans
-            batch += [f"(({rng.choice(batch)}) {rng.choice(['&', '->', '<->'])} "
-                      f"~({rng.choice(batch)}))" for _ in range(rng.randint(0, 20))]
-            assert _reprs(parse_batch(batch)) == _reprs(map(parse_form, batch))
-        assert sum(hits) > 1_000
+        named = 0
+        for _ in range(400):
+            batch = _shared_batch(rng, rng.randint(5, 40))
+            for sugar in (True, False):
+                terms = []
+                texts = text_of_batch(batch, sugar, terms)
+                assert _read(texts, terms) == batch
+                assert [written_out(t, terms) for t in texts] == text_of_batch(batch, sugar)
+                named += len(terms)
+        assert named > 5_000
 
-    def test_rejected_texts_fail_as_alone_after_a_full_memo(self):
+    def test_rejected_texts_fail_as_alone_with_terms_to_cite(self):
         accepted, rejected = _split_corpus()
-        memo = syntax._SpanMemo()
-        for text in accepted:
-            syntax._parse(text, memo)
+        cited = [parse_cited(text, []) for text in accepted[:3000]]
         for text in rejected:
-            assert _error(lambda t: syntax._parse(t, memo), text) == _error(parse_form, text)
+            assert _error(lambda t: parse_cited(t, cited), text) == _error(parse_form, text)
+        # a term that does not parse fails as it does alone
         for text in rejected[::2000]:
-            assert _error(lambda t: parse_batch([*accepted, t]), text) == \
+            assert _error(lambda t: _read([], [*accepted[:20], t]), text) == \
                 _error(parse_form, text)
 
-    def test_a_loose_span_reused_under_strict_operators_fails_where_it_stands(self):
-        # a modal span, a bare conjunction in two pairs of parentheses, and a
+    def test_a_loose_term_under_strict_operators_fails_at_its_citation(self):
+        # a modal term, a bare conjunction in two pairs of parentheses, and a
         # strict conjunction that `!=` then takes as it is
+        inside = 0
         for span in ("(box i p & (q & r))", "(((p & q) & (r & s)))", "((p & q) & (r & ~s))"):
-            first, again = parse_batch([f"q | {span}", f"~{span}"])
+            first, again = _read(["q | $1", "~$1"], [span])
             assert again.inner is as_or(first)[1]
             for later in (f"kd i {span}", f"p & kx j {span}", f"({span} == q)",
                           f"(p != {span})", f"(p := {span})", f"[q] (r := {span})",
                           f"kd i ({span})", f"(({span}) == q)", f"~({span} & p)"):
-                batch = [f"q | {span}", f"~{span}", later]
+                at = later.index(span)
+                cited = later.replace(span, "$1")
                 try:
-                    alone = _reprs([parse_form(later)])
-                except ParseError:
-                    assert _error(parse_batch, batch) == _error(parse_form, later)
+                    alone = parse_form(later)
+                except ParseError as e:
+                    message, pos = _error(lambda t: _read([t], [span]), cited)
+                    assert message.split(" (at")[0] == str(e).split(" (at")[0]
+                    # an error inside the term is reported at its citation
+                    inside += at <= e.pos < at + len(span)
+                    assert pos == (e.pos if e.pos < at else at if e.pos < at + len(span)
+                                   else e.pos - len(span) + 2)
                 else:
-                    assert _reprs(parse_batch(batch)[2:]) == alone
+                    assert _read([cited], [span]) == [alone]
+        assert inside == 6
 
     def test_a_deep_span_shared_by_two_lines_has_no_recursion_limit(self):
-        # printing is one-to-one on trees, and both texts are printed forms
+        # printing is one-to-one on trees, and the term is a printed form
         deep = "(" * 30_000 + "p" + " & q)" * 30_000
-        first, second = parse_batch([deep, f"~{deep} & {deep}"])
-        assert text_of_form(first) == text_of_form(parse_form(deep)) == deep
-        assert text_of_form(second) == f"(~{deep} & {deep})"
+        first, second = _read(["$1", "~$1 & $1"], [deep])
+        assert second.left.inner is first and second.right is first
+        assert text_of_form(first) == deep
+        terms = []
+        assert text_of_batch([first, second], terms=terms) == ["$1", "(~$1 & $1)"]
+        assert terms == [deep]
+
+    def test_a_citation_outside_a_proof_file_is_an_unexpected_character(self):
+        for text in ("$1", "p & $1", "kd i $2"):
+            message, pos = _error(parse_form, text)
+            assert message.startswith("unexpected character") and text[pos] == "$"
+            assert _error(parse_bool, text) == (message, pos)
+
+    @pytest.mark.parametrize("text, pos", [("$0", 0), ("$3", 0), ("p & ~$12", 5),
+                                           ("($1 & $7)", 6)])
+    def test_a_citation_of_no_earlier_term_is_an_error(self, text, pos):
+        message, at = _error(lambda t: _read([t], ["p", "(p & q)"]), text)
+        assert at == pos and message.startswith(f"{text[pos:pos + 3].rstrip(')')} cites no")
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,10 +7,10 @@ definitions nest, so its text grows as n squared.  Printed as one batch
 (as `defcheck` does) and one definition at a time with `text_of_bool`.
 
 circular n = 3 ... 24, `x_k == (x_{(k+1) mod n} & r)`: the witness proof,
-its lines and characters, and the time to print it (`proof_to_json`), parse
-it back (`proof_from_json`, one batch), parse its formulas one line at a
-time with `parse_form`, and verify it (`verify_proof`, which rejects chains
-past 18 steps for the tautology budget).
+its lines, the bytes and named terms of its file, and the time to print it
+(`proof_to_json`), read it back (`proof_from_json`, each term parsed once)
+and verify it (`verify_proof`, which rejects chains past 18 steps for the
+tautology budget).
 
 unify: `literal_sat` on eight families at doubling n, with its time and
 three work counts from a second, instrumented run: the classes the occurs
@@ -48,7 +48,7 @@ from unittest import mock
 from paldef import definitions
 from paldef.definitions import literal_sat, parse_literal_lines
 from paldef.proof import proof_from_json, proof_to_json, verify_proof, witness_to_proof
-from paldef.syntax import parse_form, text_of_batch, text_of_bool
+from paldef.syntax import text_of_batch, text_of_bool
 
 LINEAR = (100, 200, 400, 800, 1600)
 CIRCULAR = (3, 6, 12, 18, 19, 24)
@@ -80,19 +80,16 @@ def linear_rows(repeat: int):
 
 
 def circular_rows(repeat: int):
-    yield ("circular n", "lines", "chars", "print ms", "batch parse ms",
-           "one at a time ms", "verify ms", "verdict")
+    yield "circular n", "lines", "bytes", "terms", "print ms", "read ms", "verify ms", "verdict"
     for n in CIRCULAR:
         equivs = literals([f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)])
         proof = witness_to_proof(literal_sat(equivs).witness, equivs)
         text, printing = best_ms(repeat, lambda: proof_to_json(proof))
-        parsed, parsing = best_ms(repeat, lambda: proof_from_json(text))
-        formulas = [line["formula"] for line in json.loads(text)]
-        single, single_parsing = best_ms(repeat, lambda: [parse_form(f) for f in formulas])
-        assert single == [line.formula for line in parsed]
+        parsed, reading = best_ms(repeat, lambda: proof_from_json(text))
+        assert parsed == proof
         outcome, verifying = best_ms(repeat, lambda: verify_proof(parsed))
-        yield (n, len(proof), sum(map(len, formulas)), f"{printing:.2f}", f"{parsing:.2f}",
-               f"{single_parsing:.2f}", f"{verifying:.2f}",
+        yield (n, len(proof), len(text.encode()), len(json.loads(text)["terms"]),
+               f"{printing:.2f}", f"{reading:.2f}", f"{verifying:.2f}",
                "ok" if outcome.ok else f"line {outcome.line}")
 
 
