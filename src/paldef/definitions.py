@@ -9,11 +9,12 @@ union edges form a proof forest (Nieuwenhuis and Oliveras 2007, "Fast
 congruence closure and extensions"), so the path between two atoms of a class
 is unique.  The pattern axioms of the logic are exactly the decomposition and
 clash rules of unification; the occurs check realises non-circularity, and on
-failure a ``CircularWitness`` is extracted from the recorded justifications: a
-substitution chain that derives an explicitly circular equivalence from the
-asserted literals.  Unions cost near-constant amortized work (union by size),
-an occurs check at most about twice the smaller of the two sides it searches,
-and a derivation through a union path is written out only for a witness.
+failure a ``CircularWitness`` is extracted from the recorded justifications:
+a derivation of an explicitly circular equivalence whose lemmas substitute
+round the cycle innermost first.  Unions cost near-constant amortized work
+(union by size), an occurs check at most about twice the smaller of the two
+sides it searches, and a derivation through a union path is written out
+only for a witness.
 
 States are values: `assert_equiv` returns a new state and never mutates the
 receiver, so distinct states may be used concurrently.
@@ -34,7 +35,7 @@ from .syntax import (
 from .models import truth
 
 __all__ = [
-    "EquivLiteral", "DefState", "CircularWitness", "WitnessStep",
+    "EquivLiteral", "DefState", "CircularWitness",
     "PatternClash", "CircularityDetected",
     "Derivation",
     "merge", "merge_substitution", "pick",
@@ -63,8 +64,9 @@ class Derivation:
     """A derivation of `left == right`, which it carries, so replay and proof
     generation never recompute it.  `rule` is "input" for an asserted
     literal, else the name of the law in `proof._SCHEMAS` that the step
-    instantiates ("symmetry", "pattern-neg", "pattern-and" or
-    "transitivity"), whose premises are the literals of `parts`, in order."""
+    instantiates ("symmetry", "pattern-neg", "pattern-and", "transitivity"
+    or "occurrence-substitution"), whose premises are the literals of
+    `parts`, in order."""
 
     rule: str
     left: BoolForm
@@ -104,57 +106,73 @@ class CircularityDetected(ValueError):
 
 
 @dataclass(frozen=True)
-class WitnessStep:
-    premise: Derivation
-    subst: OccSubst
-
-
-@dataclass(frozen=True)
 class CircularWitness:
-    """A replayable derivation of a circular equivalence.
+    """A replayable derivation of a circular equivalence, whose left atom
+    occurs properly inside its right side.
 
-    Starting from the base literal, each step rewrites one atom occurrence on
-    the right-hand side using an equivalence derived from the inputs; the
-    final literal has its left-hand atom occurring properly inside its
-    right-hand side.
+    Its lemmas are occurrence-substitution nodes: from `p == x` and `y == z`
+    a lemma derives `y == w`, w being z with its first p replaced by x.  A
+    cycle's lemmas go innermost first, each substituting the next one's
+    right side into one binding image, which it shares.
     """
 
-    base: Derivation
-    steps: tuple[WitnessStep, ...]
-    conclusion: EquivLiteral
+    derivation: Derivation
+
+    @property
+    def conclusion(self) -> EquivLiteral:
+        return EquivLiteral(True, self.derivation.left, self.derivation.right)
+
+    def _lemmas(self) -> list[Derivation]:
+        """The occurrence-substitution nodes, innermost first."""
+        found, seen, todo = [], set(), [self.derivation]
+        while todo:
+            d = todo.pop()
+            if id(d) not in seen:
+                seen.add(id(d))
+                todo += d.parts
+                if d.rule == "occurrence-substitution":
+                    found.append(d)
+        return found[::-1]
 
     def replay(self) -> EquivLiteral:
-        """Re-run the substitution chain; the result must equal conclusion."""
-        current = self.base.right
-        for step in self.steps:
-            if step.subst.atom != step.premise.left:
-                raise ValueError("witness step substitutes a different atom than its premise")
-            if step.subst.replacement != step.premise.right:
-                raise ValueError("witness step replacement differs from its premise")
-            current = apply_occ_subst(step.subst, current)
-        lit = EquivLiteral(True, self.base.left, current)
-        # compared as text, which the iterative printer gives at any depth; a
-        # boolean formula's text determines its tree
-        if str(lit) != str(self.conclusion):
-            raise ValueError(f"witness replays to {lit}, not {self.conclusion}")
+        """Check every lemma's substitution; the conclusion must be circular."""
+        for d in self._lemmas():
+            premise, base = d.parts
+            if base.left != d.left:
+                raise ValueError(f"a lemma for {d.left} rewrites another left side, {base.left}")
+            if not _same(apply_occ_subst(OccSubst(1, premise.left, premise.right), base.right),
+                         d.right):
+                raise ValueError(f"a lemma for {d.left} is not its base with the first "
+                                 f"{premise.left} replaced")
+        lit = self.conclusion
         if not is_circular(lit.left, lit.right):
             raise ValueError(f"witness conclusion {lit} is not circular")
         return lit
 
     def describe(self) -> str:
-        lines = [f"start  {text_of_bool(self.base.left)} == {text_of_bool(self.base.right)}"]
-        current = self.base.right
-        for step in self.steps:
-            current = apply_occ_subst(step.subst, current)
-            lines.append(
-                f"  {step.subst}  (using {text_of_bool(step.premise.left)} == "
-                f"{text_of_bool(step.premise.right)})"
-            )
-            lines.append(f"       {text_of_bool(self.base.left)} == {text_of_bool(current)}")
+        lines = []
+        for d in self._lemmas():
+            premise, base = d.parts
+            lines += [f"from   {text_of_bool(base.left)} == {text_of_bool(base.right)}",
+                      f"  {OccSubst(1, premise.left, premise.right)}",
+                      f"lemma  {text_of_bool(d.left)} == {text_of_bool(d.right)}"]
         lines.append(f"conclusion {self.conclusion} is circular")
         return "\n".join(lines)
 
     __str__ = describe
+
+
+def _same(P: BoolForm, Q: BoolForm) -> bool:
+    """P == Q from an explicit stack; a subtree the two share is not walked."""
+    todo = [(P, Q)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is Atom or type(a) is not type(b):
+            if a != b:
+                return False
+        elif a is not b:
+            todo += [(getattr(a, k), getattr(b, k)) for k in a.__match_args__]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -529,53 +547,32 @@ class DefState:
     def _extract_witness(self, cycle: list[Atom]) -> CircularWitness:
         """Build a replayable circular derivation from a class-level cycle.
 
-        The cycle's events, in cycle order, are each class's binding
-        (seq, owner, image, just, k), where image leaf k holds the leftmost
-        atom of the next class, followed by the union edges from that atom to
-        the next owner, (seq, from, to, just, 0).  The derivation starts at
-        the earliest recorded event, so it does not depend on where the cycle
-        list starts, and substitutes the later events in turn until the start
-        atom's class reappears in a compound right-hand side.
-
-        Positions in the right-hand side S are leaf indices into `leaves(S)`.
-        Substituting an image at leaf k puts the image's leaf j at k + j; a
-        renaming keeps k.
+        The cycle starts at the class with the earliest binding, wherever the
+        list starts.  The lemmas `owner_i == T_i` are built from the last
+        class back to the first: T_{m-1} is the last class's image, and each
+        earlier T_i is class i's image with its first leaf in class i + 1
+        replaced by T_{i+1}, which that leaf reaches through its union path,
+        so a lemma copies only its own image's path.  The witness concludes
+        `leaf == T_0`, for the last image's first leaf in the first class.
         """
-        def first_leaf_of(S: BoolForm, cls: Atom) -> int | None:
-            return next((k for k, a in enumerate(leaves(S)) if self.rep(a) == cls), None)
-
-        events = []
-        for i, c in enumerate(cycle):
-            b, nxt = self._bindings[c], cycle[(i + 1) % len(cycle)]
-            k = first_leaf_of(b.image, nxt)
-            events.append((b.seq, b.owner, b.image, b.just, k))
-            events += [(seq, u, v, just, 0) for u, v, just, seq in
-                       self._path(leaves(b.image)[k], self._bindings[nxt].owner)]
-        start = min(range(len(events)), key=lambda e: events[e][0])
-
-        steps: list[WitnessStep] = []
+        start = min(range(len(cycle)), key=lambda i: self._bindings[cycle[i]].seq)
+        bindings = [self._bindings[c] for c in cycle[start:] + cycle[:start]]
         memo: dict = {}
 
-        def substitute(S: BoolForm, pos: int, premise: Derivation) -> BoolForm:
-            atoms = leaves(S)
-            sub = OccSubst(atoms[:pos + 1].count(atoms[pos]), premise.left, premise.right)
-            steps.append(WitnessStep(self._force(premise, memo), sub))
-            return apply_occ_subst(sub, S)
+        def joined(b: _Binding, lemma: Derivation) -> Derivation:
+            """leaf == lemma.right, for b's image's first leaf in lemma.left's
+            class: the union path from the leaf to lemma.left, then lemma."""
+            home = self.rep(lemma.left)
+            leaf = next(a for a in b.atoms if self.rep(a) == home)
+            path = [self._force(just, memo) for _, _, just, _ in self._path(leaf, lemma.left)]
+            return functools.reduce(d_trans, path + [lemma])
 
-        _, x0, image, base, pos = events[start]
-        S, home = image, self.rep(x0)
-        later = iter(events[start + 1:] + events[:start])
-        # a renaming keeps the class of every leaf, so only a binding's image
-        # can bring the start class back
-        while isinstance(image, Atom) or (hit := first_leaf_of(S, home)) is None:
-            _, _, image, just, k = next(later)
-            S = substitute(S, pos, just)
-            pos += k
-        for _, _, just, _ in self._path(leaves(S)[hit], x0):
-            S = substitute(S, hit, just)
-
-        conclusion = EquivLiteral(True, x0, S)
-        witness = CircularWitness(self._force(base, memo), tuple(steps), conclusion)
+        lemma = self._force(bindings[-1].just, memo)
+        for b in reversed(bindings[:-1]):
+            premise, base = joined(b, lemma), self._force(b.just, memo)
+            image = apply_occ_subst(OccSubst(1, premise.left, premise.right), base.right)
+            lemma = Derivation("occurrence-substitution", base.left, image, (premise, base))
+        witness = CircularWitness(joined(bindings[-1], lemma))
         witness.replay()
         return witness
 

@@ -23,8 +23,8 @@ from .definitions import CircularWitness, Derivation, EquivLiteral, literal_sat
 from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
-    ParseError, apply_occ_subst, as_iff, as_imp, is_circular, mk_imp, occurrences,
-    parse_cited, parse_form, postorder, text_of_batch, text_of_form,
+    ParseError, _check_name, apply_occ_subst, as_iff, as_imp, is_circular, mk_imp,
+    occurrences, parse_cited, parse_form, postorder, text_of_batch, text_of_form,
 )
 
 __all__ = [
@@ -129,10 +129,6 @@ def _instance(schema, env: dict):
     return type(schema)(*[_instance(getattr(schema, k), env) for k in schema.__match_args__])
 
 
-def _axiom(name: str, **env) -> Form:
-    return _instance(_SCHEMAS[name], env)
-
-
 def is_axiom_instance(formula: Form) -> str | None:
     """Name of the first axiom schema the formula instantiates, else None.
 
@@ -203,7 +199,11 @@ def verify_proof(lines) -> ProofOutcome:
                     return fail(no, "nec needs exactly one reference")
                 if not line.agent:
                     return fail(no, "nec needs an agent")
-                if line.formula != BoxF(line.agent, lines[line.refs[0] - 1].formula):
+                try:
+                    boxed = BoxF(line.agent, lines[line.refs[0] - 1].formula)
+                except ValueError as e:  # the agent is not a name
+                    return fail(no, str(e))
+                if line.formula != boxed:
                     return fail(no, f"formula is not box {line.agent} of line {line.refs[0]}")
             else:
                 return fail(no, f"unknown rule {line.rule!r}")
@@ -285,11 +285,17 @@ def proof_from_json(text: str) -> list[ProofLine]:
             raise ValueError(f"{where}: with their terms written out, the lines are more "
                              f"than {_EXPANSION_CAP} times as long as the file")
         agent = entry.get("agent")
+        if agent is not None:
+            json_typed(agent, str, f'{where}: "agent"')
+            try:
+                _check_name(agent, "agent")
+            except ValueError as e:
+                raise ValueError(f'{where}: "agent": {e}') from None
         lines.append(ProofLine(
             f, json_typed(rule, str, f'{where}: "rule"'),
             tuple(json_typed(ref, int, f'{where}: each of "refs"')
                   for ref in json_typed(entry.get("refs", []), list, f'{where}: "refs"')),
-            None if agent is None else json_typed(agent, str, f'{where}: "agent"')))
+            agent))
     return lines
 
 
@@ -496,21 +502,23 @@ def _conjoin(forms: list[Form]) -> Form:
 
 
 # The laws a derivation step may name: the premise and conclusion sides of
-# each schema that is an implication or an equivalence and has no side
-# condition
+# each schema that is an implication or an equivalence
 _LAWS = {name: sides for name, schema in _SCHEMAS.items()
-         if name not in _SIDE_CONDITIONS and (sides := as_iff(schema) or as_imp(schema))}
+         if (sides := as_iff(schema) or as_imp(schema))}
 
 
 def _law(d: Derivation, lit: Form) -> Form:
     """The instance of the law d names whose premise side is the conjunction
-    of the literals of d's parts and whose conclusion side is lit or has lit
-    as a conjunct; ValueError if there is none."""
+    of the literals of d's parts, whose conclusion side is lit or has lit
+    as a conjunct, and which meets the law's side condition; ValueError if
+    there is none."""
     premise, conclusion = _LAWS.get(d.rule, (None, None))
+    side = _SIDE_CONDITIONS.get(d.rule)
     env: dict = {}
     if (premise is None or not d.parts
             or not _match(premise, _conjoin([EquivF(p.left, p.right) for p in d.parts]), env)
-            or not any(_match(c, lit, env) for c in _conjuncts(conclusion))):
+            or not any(_match(c, lit, env) for c in _conjuncts(conclusion))
+            or side is not None and not side(env)):
         raise ValueError(f"a {d.rule} step does not derive {text_of_form(lit)} from its parts")
     return _instance(_SCHEMAS[d.rule], env)
 
@@ -530,7 +538,8 @@ def witness_to_proof(witness: CircularWitness, literals) -> list[ProofLine]:
     where C_S is the conjunction, in input order, of the premises S that
     lit's derivation uses; it is chained through definition-axiom instances
     with tautology glue that weakens each premise's C_S to their union's, and
-    the circular conclusion is refuted by the non-circularity axiom.
+    the circular conclusion is refuted by the non-circularity axiom.  The
+    lemmas, nested as deep as the cycle is long, compile without recursion.
     """
     premise_forms = [EquivF(lit.left, lit.right) for lit in literals if lit.positive]
     position: dict[Form, int] = {}  # a premise's first position
@@ -568,41 +577,34 @@ def witness_to_proof(witness: CircularWitness, literals) -> list[ProofLine]:
             line = add(goals.pop(), "mp", (ref, line))
         return add(cd, "mp", (add(via, "axiom"), line)), used
 
+    # lit -> (line of `C_S -> lit`, S), from an explicit stack; a node's law
+    # is checked when its parts are done, also if they derived its literal
     derived: dict[Form, tuple[int, frozenset[int]]] = {}
-
-    def derive(d: Derivation) -> tuple[int, frozenset[int]]:
-        """Line number of `C_S -> (d.left == d.right)`, and S."""
+    todo = [(witness.derivation, False)]
+    while todo:
+        d, parts_done = todo.pop()
         lit = EquivF(d.left, d.right)
-        if lit in derived:
-            return derived[lit]
-        if d.rule == "input":
+        if parts_done:
+            premises = [derived[EquivF(part.left, part.right)] for part in d.parts]
+            derived[lit] = chain(premises, _law(d, lit), lit)
+        elif lit in derived:
+            continue
+        elif d.rule == "input":
             if lit not in position:
                 raise ValueError(f"witness uses unknown premise {text_of_form(lit)}")
             used = frozenset((position[lit],))
-            found = add(mk_imp(hypothesis(used), lit), "taut"), used
+            derived[lit] = add(mk_imp(hypothesis(used), lit), "taut"), used
         else:
-            found = chain([derive(part) for part in d.parts], _law(d, lit), lit)
-        derived[lit] = found
-        return found
+            todo.append((d, True))
+            todo += [(part, False) for part in reversed(d.parts)]
 
-    atom = witness.base.left
-    proved = derive(witness.base)
-    rhs = witness.base.right
-    current = EquivF(atom, rhs)
-    for step in witness.steps:
-        rewritten = apply_occ_subst(step.subst, rhs)
-        via = _axiom("occurrence-substitution", p=step.premise.left, x=step.premise.right,
-                     y=atom, z=rhs, w=rewritten)
-        conclusion = EquivF(atom, rewritten)
-        proved = chain([derive(step.premise), proved], via, conclusion)
-        rhs, current = rewritten, conclusion
-
+    current = EquivF(witness.derivation.left, witness.derivation.right)
     # C conjoins every line of the premises S the proof uses, so a repeated
     # line enters it as often as it is given
-    proved_line, used = proved
+    proved_line, used = derived[current]
     conjuncts = [f for f, k in zip(premise_forms, firsts) if k in used]
     big_c = hypothesis(used) if len(conjuncts) == len(used) else _conjoin(conjuncts)
-    non_circ = add(_axiom("non-circularity", p=atom, x=rhs), "axiom")
+    non_circ = add(Neg(current), "axiom")  # the non-circularity instance for current
     refute = mk_imp(Neg(current), Neg(big_c))
     flip = add(mk_imp(lines[proved_line - 1].formula, refute), "taut")
     s = add(refute, "mp", (proved_line, flip))

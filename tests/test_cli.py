@@ -291,6 +291,10 @@ class TestMalformedFiles:
         (("prove-verify",), {"terms": []}, "a proof file is missing key 'lines'"),
         (("prove-verify",), {"terms": "$1", "lines": []}, '"terms" must be a list'),
         (("prove-verify",), {"terms": [], "lines": {}}, '"lines" must be a list'),
+        # an agent that is a string but not a name, beside agent=5 above
+        (("prove-verify",), _line() + _line(formula="box i (p -> p)", rule="nec", refs=[1],
+                                            agent="Bob"),
+         'proof line 2: "agent": invalid agent name \'Bob\''),
     ])
     def test_wrong_shape_is_an_error_naming_the_field(self, capsys, tmp_path,
                                                        argv, content, field):

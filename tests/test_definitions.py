@@ -10,13 +10,13 @@ import pytest
 import paldef.definitions
 from paldef.definitions import (
     CircularityDetected, CircularWitness, DefState, Derivation, EquivLiteral, PatternClash,
-    WitnessStep, literal_sat, merge, merge_substitution, parse_literal_lines, pick,
+    literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
 from paldef.models import truth
-from paldef.proof import proof_from_json, proof_to_json, witness_to_proof
+from paldef.proof import proof_from_json, proof_to_json, verify_proof, witness_to_proof
 from paldef.syntax import (
-    And, Atom, Neg, OccSubst, apply_simultaneous, is_circular, length, parse_bool,
-    text_of_batch, text_of_form, vocabulary,
+    And, Atom, Neg, OccSubst, apply_occ_subst, apply_simultaneous, is_circular, length,
+    parse_bool, postorder, text_of_batch, text_of_form, vocabulary,
 )
 
 from helpers import (
@@ -378,7 +378,7 @@ class TestWitness:
             DefState().assert_equiv(p, Neg(p))
         w = err.value.witness
         assert w.conclusion == EquivLiteral(True, p, Neg(p))
-        assert w.steps == ()
+        assert w.derivation == Derivation("input", p, Neg(p))
 
     def test_two_step_chain(self):
         with pytest.raises(CircularityDetected) as err:
@@ -404,37 +404,39 @@ class TestWitness:
         assert found > 100
 
     def test_replay_checks_a_deep_conclusion(self):
-        # the conclusion is an equal but distinct copy of the replayed
-        # right-hand side, (q & (q & ... (q & p))) 2,000 levels deep
-        def deep(inner):
-            for _ in range(2000):
-                inner = And(q, inner)
-            return inner
+        # the lemma substitutes (q & (q & ... (q & p))), 2,000 levels deep,
+        # into p == (q & s), and shares it; replay compares the lemma with
+        # its own substitution from an explicit stack
+        deep = p
+        for _ in range(2000):
+            deep = And(q, deep)
+        premise, base = Derivation("input", q, deep), Derivation("input", p, And(q, s))
+        lemma = Derivation("occurrence-substitution", p, And(deep, s), (premise, base))
+        assert CircularWitness(lemma).replay().right is lemma.right
+        wrong = Derivation("occurrence-substitution", p, And(deep, t), (premise, base))
+        with pytest.raises(ValueError, match="first q replaced"):
+            CircularWitness(wrong).replay()
 
-        base = Derivation("input", p, deep(p))
-        witness = CircularWitness(base, (), EquivLiteral(True, p, deep(p)))
-        assert witness.replay().right is witness.base.right
-        wrong = CircularWitness(base, (), EquivLiteral(True, p, deep(Neg(p))))
-        with pytest.raises(ValueError, match="witness replays to"):
-            wrong.replay()
+    def test_a_cycle_through_a_deep_image_gets_its_verdict(self):
+        # the lemma copies the 3,000-deep path of p's image down to q
+        res = _sat(["p == " + "~" * 3000 + "q", "q == (p & r)"])
+        assert res.reason == "circular" and res.witness.replay() == res.witness.conclusion
 
-    @pytest.mark.parametrize("premise, subst, conclusion, message", [
-        # the step names q, but its premise defines r
-        (Derivation("input", r, And(p, s)), OccSubst(1, q, And(p, s)), And(p, s),
-         "substitutes a different atom"),
-        # the step puts (p & t) where its premise gives (p & s)
-        (Derivation("input", q, And(p, s)), OccSubst(1, q, And(p, t)), And(p, t),
-         "replacement differs"),
-        # the chain replays to p == (s & s), in which p does not occur
-        (Derivation("input", q, s), OccSubst(1, q, s), And(s, s), "is not circular"),
-    ])
-    def test_replay_refuses_a_chain_that_does_not_hold(self, premise, subst, conclusion,
-                                                       message):
-        witness = CircularWitness(Derivation("input", p, And(q, s)),
-                                  (WitnessStep(premise, subst),),
-                                  EquivLiteral(True, p, conclusion))
+    @pytest.mark.parametrize("premise, base, right, message", [
+        # the lemma for p rewrites a literal for r
+        (Derivation("input", q, And(p, s)), Derivation("input", r, And(q, s)),
+         And(And(p, s), s), "another left side"),
+        # the lemma puts (p & t) where its premise gives (p & s)
+        (Derivation("input", q, And(p, s)), Derivation("input", p, And(q, s)),
+         And(And(p, t), s), "first q replaced"),
+        # the lemma concludes p == (s & s), in which p does not occur
+        (Derivation("input", q, s), Derivation("input", p, And(q, s)), And(s, s),
+         "is not circular"),
+    ], ids=["left", "right", "circular"])
+    def test_replay_refuses_a_lemma_that_does_not_hold(self, premise, base, right, message):
+        lemma = Derivation("occurrence-substitution", p, right, (premise, base))
         with pytest.raises(ValueError, match=message):
-            witness.replay()
+            CircularWitness(lemma).replay()
 
     def test_union_edge_inside_the_cycle(self):
         # the dependency cycle runs through a class whose bound atom differs
@@ -458,13 +460,19 @@ class TestWitness:
             EquivLiteral(True, d, And(And(d, c), c))
 
     def test_substitution_at_a_second_occurrence(self):
-        # after the first step the walk continues at the second d of
-        # ~(d & ~d), so the step must name occurrence 2, not 1
+        # a chain from c's image once substituted the second d of ~(d & ~d);
+        # composed innermost first, each lemma substitutes a first occurrence
+        # into one image: a's, then c's
         equivs, _ = parse_literal_lines("c == ~(d & a)\na == ~d\na == ~(c & b)")
         witness = literal_sat(equivs).witness
         assert str(witness.conclusion) == "c == ~(d & ~(c & b))"
-        assert [str(step.subst) for step in witness.steps] == \
-            ["[1: a -> ~d]", "[2: d -> (c & b)]"]
+        outer = witness.derivation
+        premise, base = outer.parts
+        inner_premise, inner_base = premise.parts
+        assert [outer.rule, premise.rule] == ["occurrence-substitution"] * 2
+        assert [str(EquivLiteral(True, d.left, d.right))
+                for d in (inner_premise, inner_base, premise, base)] == [
+            "d == (c & b)", "a == ~d", "a == ~(c & b)", "c == ~(d & a)"]
 
     def test_witness_description_mentions_conclusion(self):
         res = literal_sat([EquivLiteral(True, p, And(q, r)),
@@ -476,21 +484,20 @@ class TestWitness:
 class TestWitnessDigest:
     # sha256 over every verdict reason and detail, and for each circular set
     # the witness repr and the proof that defcheck writes for it
-    DIGEST = "b9022d1fff5893575d0e1c3e9733782e329eaf69e204dfd50118f70ab3db12d8"
+    DIGEST = "fb06f7a0e7d21ab92e8cb60af84a7982dace7dda840ea024c4673e8b27011a57"
 
     def test_witness_corpus_is_unchanged(self):
         h = hashlib.sha256()
-        circular = later = 0
+        circular = 0
         for lines in witness_digest_corpus():
             equivs, _ = parse_literal_lines("\n".join(lines))
             res = literal_sat(equivs)
             h.update(f"{res.reason}|{res.detail}\n".encode())
             if res.witness is not None:
                 circular += 1
-                later += any(step.subst.index > 1 for step in res.witness.steps)
                 h.update(repr(res.witness).encode())
                 h.update(proof_to_json(witness_to_proof(res.witness, equivs)).encode())
-        assert (circular, later) == (1234, 12)
+        assert circular == 1234
         assert h.hexdigest() == self.DIGEST, (
             "the witnesses or their proofs changed; a deliberate change to the "
             "witness shape updates DIGEST and says so in CHANGES.md")
@@ -499,7 +506,7 @@ class TestWitnessDigest:
     # what a user sees of its witness: the conclusion, the description and
     # the proof that defcheck writes; unlike DIGEST it does not hash the
     # witness repr, so it pins the output of a change to the node classes
-    PROOF_DIGEST = "3f75725ba28095fb3e04ce3ac637414a1ddae811258fb4a35287dac20d9dad0c"
+    PROOF_DIGEST = "42fb05b71fa4c7f982579a601ef3b8f1008c3ae25b8977da53d9bfffb758d12e"
 
     def test_witness_output_is_unchanged(self):
         h = hashlib.sha256()
@@ -521,7 +528,7 @@ class TestWitnessDigest:
     # what PROOF_DIGEST hashes, except that each proof is read back from its
     # file and hashed line by line, so it pins the proofs through a change
     # to the file's layout
-    LINES_DIGEST = "23f64e5c4d67c3a65fdf6ba77a277ddf15d19795af9fc3519c192b50a0ff0077"
+    LINES_DIGEST = "92275abfb1e2c5a26ac87b6e57dd53bf04a936fec6a3567ed82c364905ac57fb"
 
     def test_witness_proofs_read_back_unchanged(self):
         h = hashlib.sha256()
@@ -546,7 +553,7 @@ class TestWitnessDigest:
     # sha256 over each SAT seed as defcheck prints it (every definition and
     # value) and over the reason and detail of every other verdict; the
     # union-heavy sets pin that rep returns the least name of each class
-    SEED_DIGEST = "633fd1fac083737e6544daeb527884a6a161b3e10eb26c0f65e6296f4966c7c2"
+    SEED_DIGEST = "8346f1d402f896559fd8085c5b2e627a9a8b1e042b674083ccc2079dbda15e52"
 
     def test_seed_corpus_is_unchanged(self):
         h = hashlib.sha256()
@@ -565,6 +572,36 @@ class TestWitnessDigest:
         assert h.hexdigest() == self.SEED_DIGEST, (
             "the SAT seeds or the verdicts changed; a deliberate change updates "
             "SEED_DIGEST and says so in CHANGES.md")
+
+    # what SEED_DIGEST hashes, except the detail of a circular verdict (it
+    # prints the witness conclusion), and for each circular set of the
+    # witness corpus whether its proof verifies; it pins the verdicts
+    # through a change to the shape of the witnesses
+    VERDICT_DIGEST = "60bd4e032284ede5711ce5a1c862701d3ed19454d3ae6aa72936a29724bb61aa"
+
+    def test_verdicts_and_proof_outcomes_are_unchanged(self):
+        h = hashlib.sha256()
+        for lines in seed_digest_corpus():
+            res = literal_sat(*parse_literal_lines("\n".join(lines)))
+            if res.satisfiable:
+                defs = sorted(res.definitions.items())
+                texts = text_of_batch([image for _, image in defs], sugar=False)
+                for (a, _), text in zip(defs, texts):
+                    h.update(f"{a} := {text} [{int(res.valuation[a])}]\n".encode())
+            else:
+                detail = "" if res.reason == "circular" else res.detail
+                h.update(f"{res.reason}|{detail}\n".encode())
+        accepted = 0
+        for lines in witness_digest_corpus():
+            equivs, _ = parse_literal_lines("\n".join(lines))
+            res = literal_sat(equivs)
+            if res.witness is not None:
+                ok = verify_proof(witness_to_proof(res.witness, equivs)).ok
+                accepted += ok
+                h.update(f"{ok}\n".encode())
+        assert accepted == 1228
+        assert h.hexdigest() == self.VERDICT_DIGEST, (
+            "the verdicts or the proofs that verify changed")
 
 
 def _count_lookups(monkeypatch, budget: Budget, field: str) -> None:
@@ -588,6 +625,13 @@ def _count_lookups(monkeypatch, budget: Budget, field: str) -> None:
 
 def _sat(lines: list[str]):
     return literal_sat(parse_literal_lines("\n".join(lines))[0])
+
+
+_CYCLES = {
+    "circular chain": lambda n: [f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)],
+    "circular unions": lambda n: [f"x{k} == (y{k} & r)" for k in range(n)]
+    + [f"y{k} == x{(k + 1) % n}" for k in range(n)],
+}
 
 
 class TestGrowth:
@@ -629,6 +673,25 @@ class TestGrowth:
         res = _sat([f"x{k} == x{k + 1}" for k in range(n)]
                    + [f"x{k} == ~y{k}" for k in range(n)])
         assert res.satisfiable and res.definitions[Atom("x9")] == Neg(Atom("y0"))
+
+    @pytest.mark.parametrize("family", ["circular chain", "circular unions"])
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_a_long_cycle_substitutes_into_one_image_at_a_time(self, monkeypatch, family, n):
+        # each lemma rewrites one binding image and shares the right side
+        # built so far, so extraction and replay substitute into O(n) nodes
+        budget = Budget(8 * n, "nodes of the formulas substituted into")
+
+        def counting(subst, formula):
+            for _ in postorder(formula):
+                budget.spend()
+            return apply_occ_subst(subst, formula)
+
+        monkeypatch.setattr(paldef.definitions, "apply_occ_subst", counting)
+        assert _sat(_CYCLES[family](n)).reason == "circular"
+
+    def test_a_circular_chain_of_3200_gets_its_verdict(self):
+        res = _sat(_CYCLES["circular chain"](3200))
+        assert res.reason == "circular" and res.witness.replay() == res.witness.conclusion
 
     @pytest.mark.parametrize("n", [250, 500, 1000])
     def test_descending_unions_keep_rep_short(self, monkeypatch, n):

@@ -198,6 +198,13 @@ class TestVerifyProof:
                  ProofLine(parse_form("box i (p -> p)"), "nec", (1,))]
         assert verify_proof(proof) == paldef.proof.ProofOutcome(False, 2, "nec needs an agent")
 
+    def test_necessitation_by_an_invalid_agent_fails_its_line(self):
+        proof = [ProofLine(parse_form("p -> p"), "taut"),
+                 ProofLine(parse_form("box i (p -> p)"), "nec", (1,), "Bob")]
+        outcome = verify_proof(proof)
+        assert not outcome.ok and outcome.line == 2
+        assert outcome.reason.startswith("invalid agent name 'Bob'")
+
     def test_json_round_trip(self):
         proof = [ProofLine(parse_form("p -> p"), "taut"),
                  ProofLine(parse_form("box i (p -> p)"), "nec", (1,), "i")]
@@ -593,7 +600,7 @@ class TestWitnessProofs:
             witness = literal_sat(parse_literal_lines("\n".join(lines))[0]).witness
             if witness is None:
                 continue
-            todo = [witness.base] + [step.premise for step in witness.steps]
+            todo = [witness.derivation]
             seen = set()
             while todo:
                 d = todo.pop()
@@ -601,7 +608,8 @@ class TestWitnessProofs:
                     seen.add(id(d))
                     rules.add(d.rule)
                     todo += d.parts
-        assert rules == {"input", "symmetry", "pattern-neg", "pattern-and", "transitivity"}
+        assert rules == {"input", "symmetry", "pattern-neg", "pattern-and", "transitivity",
+                         "occurrence-substitution"}
         for rule in rules - {"input"}:
             schema = paldef.proof._SCHEMAS[rule]
             assert (as_iff(schema) or as_imp(schema)) is not None, rule
@@ -610,7 +618,7 @@ class TestWitnessProofs:
         lits = [EquivLiteral(True, p, q), EquivLiteral(True, q, And(p, r))]
         base = Derivation("transitivity", p, And(p, r), (
             Derivation("input", p, q), Derivation("input", q, And(p, r))))
-        witness = CircularWitness(base, (), EquivLiteral(True, p, And(p, r)))
+        witness = CircularWitness(base)
         assert verify_proof(witness_to_proof(witness, lits)).ok
 
     @pytest.mark.parametrize("rule,parts", [
@@ -623,14 +631,14 @@ class TestWitnessProofs:
         ("symmetry", []),                            # no premise at all
         ("reflexivity", [(p, And(p, r))]),           # the law has no premise side
         ("K", [(p, And(p, r))]),                     # the law is modal
-        ("occurrence-substitution", [(q, And(p, r)), (p, q)]),  # it has a side condition
+        ("occurrence-substitution", [(q, And(p, r)), (p, s)]),  # s has no q to replace
         ("modus-ponens", [(p, And(p, r))]),          # no such law
     ])
     def test_steps_whose_parts_do_not_fit_their_law_are_refused(self, rule, parts):
         lits = [EquivLiteral(True, left, right) for left, right in parts]
         base = Derivation(rule, p, And(p, r), tuple(
             Derivation("input", left, right) for left, right in parts))
-        witness = CircularWitness(base, (), EquivLiteral(True, p, And(p, r)))
+        witness = CircularWitness(base)
         with pytest.raises(ValueError, match="does not derive"):
             witness_to_proof(witness, lits)
 
@@ -653,8 +661,7 @@ def _conjunction(forms):
 
 def _premise_sets(witness, premises):
     """Each literal the witness derives -> the conjunctions, in input order,
-    of the premises that one of its derivations rests on; the chain's
-    conclusions rest on the base and every step premise so far."""
+    of the premises that one of its derivations rests on."""
     found: dict = {}
 
     def rests_on(d) -> frozenset:
@@ -665,12 +672,7 @@ def _premise_sets(witness, premises):
         found.setdefault(EquivF(d.left, d.right), set()).add(used)
         return used
 
-    chain = rests_on(witness.base)
-    rhs = witness.base.right
-    for step in witness.steps:
-        chain |= rests_on(step.premise)
-        rhs = apply_occ_subst(step.subst, rhs)
-        found.setdefault(EquivF(witness.base.left, rhs), set()).add(chain)
+    rests_on(witness.derivation)
     return {lit: {_conjunction([premises[k] for k in sorted(used)]) for used in sets}
             for lit, sets in found.items()}
 

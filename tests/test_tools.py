@@ -26,3 +26,14 @@ def test_growth_reports_the_circular_proof_files():
         assert (verdict == "ok") == (n <= 18)
     # the circular n = 24 file names its shared terms
     assert rows[-1][2] <= 21_000
+
+
+def test_growth_reports_the_unification_verdicts():
+    growth = _tool("growth")
+    header, *rows = growth.unify_rows(repeat=1)
+    assert header == ("unify", "n", "ms", "occurs", "forest", "hops", "verdict")
+    assert [row[:2] for row in rows] == [
+        (family, n) for family, (sizes, _) in growth.UNIFY.items() for n in sizes]
+    circular = {"circular chain", "circular unions", "union path"}
+    for family, n, *_, verdict in rows:
+        assert verdict == ("circular" if family in circular else "sat"), (family, n)

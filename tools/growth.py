@@ -21,7 +21,9 @@ the chain `x_k == (x_{k+1} & r)` asserted in reverse and in a shuffled order;
 the union paths `x_k == x_{k+1}` then `x_k == ~y_k`; the unions `x_k == z`
 in descending name order; the pair of left-nested conjunctions
 `(((a0 & a1) & ...) & a_{n-1}) == (((b0 & b1) & ...) & b_{n-1})`; and three
-circular sets, whose witness is extracted and replayed: the circular chain
+circular sets, whose witness is extracted and replayed: one lemma per
+binding on the cycle, composed innermost first, each substituting the next
+lemma's right side into its own binding image.  They are the circular chain
 `x_k == (x_{(k+1) mod n} & r)`; `x_k == (y_k & r)` with the unions
 `y_k == x_{(k+1) mod n}`, whose cycle runs through a union edge per class;
 and the union path `a0 == (b & c)`, `a_k == a_{k+1}` for k < n,
