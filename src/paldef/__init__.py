@@ -14,8 +14,8 @@ from .syntax import (
     text_of_form, vocabulary,
 )
 from .definitions import (
-    CircularityDetected, CircularWitness, DefState, EquivLiteral, PatternClash,
-    SatCheck, literal_sat, merge, merge_substitution, parse_literal_lines, pick,
+    CircularityDetected, CircularWitness, DefState, PatternClash, SatCheck,
+    literal_sat, merge, merge_substitution, parse_literal_lines, pick,
 )
 from .models import (
     InvalidModelError, Model, Premodel, eval_bool, fixture_names, fixture_path,

@@ -11,10 +11,10 @@ Input nested deeper than the recursion limit is "nested too deeply" for
 encodes a `taut` line's `~`/`&` skeleton at any depth, but hashes each leaf
 of it (a `box`, an `==`, ...) and compares the formulas of `mp`, `nec` and
 axiom lines recursively, so a deep leaf or such a line is too deep for it.
-`parse` and `defcheck` have no depth limit, except for a deep `!=` literal
-and the proof of a long cycle, whose lemmas conjoin as many premises as the
-cycle has steps and are hashed recursively: a cycle of n bindings or unions
-is decided up to about n = 400, an error from 500.
+`parse` and `defcheck` have no depth limit, except for the proof of a long
+cycle, whose lemmas conjoin as many premises as the cycle has steps and are
+hashed recursively: a cycle of n bindings or unions is decided up to about
+n = 400, an error from 500.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import checker, models, proof
-from .definitions import literal_sat, parse_literal_lines
+from .definitions import literal_sat, parse_literal_lines, text_of_literal
 from .syntax import Form, Neg, ParseError, parse_form, text_of_batch, text_of_form
 
 PROG = "paldef"
@@ -149,8 +149,8 @@ def cmd_defcheck(args):
         text = Path(args.literals).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise _Failure(f"no such file: {args.literals}")
-    equivs, constraints = parse_literal_lines(text)
-    result = literal_sat(equivs, constraints)
+    literals = parse_literal_lines(text)
+    result = literal_sat(literals)
     if result.satisfiable:
         defs = sorted(result.definitions.items())
         texts = text_of_batch([image for _, image in defs], sugar=False)
@@ -165,11 +165,11 @@ def cmd_defcheck(args):
     details: dict = {"reason": result.reason, "detail": result.detail}
     lines = [f"UNSAT ({result.reason})", f"  {result.detail}"]
     if result.witness is not None:
-        witness_proof = proof.witness_to_proof(result.witness, equivs)
+        witness_proof = proof.witness_to_proof(result.witness, literals)
         out_path = Path(args.witness_out) if args.witness_out else (
             Path(args.literals).with_suffix(".witness.json"))
         out_path.write_text(proof.proof_to_json(witness_proof), encoding="utf-8")
-        details["witness_conclusion"] = str(result.witness.conclusion)
+        details["witness_conclusion"] = text_of_literal(result.witness.conclusion)
         details["witness_proof"] = str(out_path)
         # the witness prints as its description, built only for human output
         lines += [result.witness, f"witness proof written to {out_path}"]

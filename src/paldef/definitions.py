@@ -16,6 +16,9 @@ round the cycle innermost first.  Unions cost near-constant amortized work
 sides it searches, and a derivation through a union path is written out
 only for a witness.
 
+A literal set, which `literal_sat` decides, is one list of formulas: `P == Q`,
+`~(P == Q)` (a literal file's `P != Q`) and boolean formulas asserted true.
+
 States are values: `assert_equiv` returns a new state and never mutates the
 receiver, so distinct states may be used concurrently.
 """
@@ -28,32 +31,26 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .syntax import (
-    And, Atom, BoolForm, Neg, EquivF, OccSubst, apply_occ_subst, is_circular,
+    And, Atom, BoolForm, Neg, EquivF, Form, OccSubst, apply_occ_subst, is_circular,
     leaves, length, lex_key, parse_form, postorder, substitute, text_of_bool,
     vocabulary,
 )
 from .models import truth
 
 __all__ = [
-    "EquivLiteral", "DefState", "CircularWitness",
+    "DefState", "CircularWitness",
     "PatternClash", "CircularityDetected",
     "Derivation",
     "merge", "merge_substitution", "pick",
-    "literal_sat", "SatCheck", "parse_literal_lines",
+    "literal_sat", "SatCheck", "parse_literal_lines", "text_of_literal",
 ]
 
 
-@dataclass(frozen=True)
-class EquivLiteral:
-    """A (dis)equivalence between boolean formulas: `left == right` or `!=`."""
-
-    positive: bool
-    left: BoolForm
-    right: BoolForm
-
-    def __str__(self) -> str:
-        op = "==" if self.positive else "!="
-        return f"{text_of_bool(self.left)} {op} {text_of_bool(self.right)}"
+def text_of_literal(lit: EquivF | Neg) -> str:
+    """`P == Q`, or `P != Q` for its negation: an equivalence literal as a
+    literal file writes it, without the outer parentheses of `text_of_form`."""
+    op, equiv = ("!=", lit.inner) if type(lit) is Neg else ("==", lit)
+    return f"{text_of_bool(equiv.left)} {op} {text_of_bool(equiv.right)}"
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ class CircularityDetected(ValueError):
 
     def __init__(self, witness: "CircularWitness"):
         self.witness = witness
-        super().__init__(f"circular consequence: {witness.conclusion}")
+        super().__init__(f"circular consequence: {text_of_literal(witness.conclusion)}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,8 @@ class CircularWitness:
     derivation: Derivation
 
     @property
-    def conclusion(self) -> EquivLiteral:
-        return EquivLiteral(True, self.derivation.left, self.derivation.right)
+    def conclusion(self) -> EquivF:
+        return EquivF(self.derivation.left, self.derivation.right)
 
     def _lemmas(self) -> list[Derivation]:
         """The occurrence-substitution nodes, innermost first."""
@@ -134,7 +131,7 @@ class CircularWitness:
                     found.append(d)
         return found[::-1]
 
-    def replay(self) -> EquivLiteral:
+    def replay(self) -> EquivF:
         """Check every lemma's substitution; the conclusion must be circular."""
         for d in self._lemmas():
             premise, base = d.parts
@@ -146,7 +143,7 @@ class CircularWitness:
                                  f"{premise.left} replaced")
         lit = self.conclusion
         if not is_circular(lit.left, lit.right):
-            raise ValueError(f"witness conclusion {lit} is not circular")
+            raise ValueError(f"witness conclusion {text_of_literal(lit)} is not circular")
         return lit
 
     def describe(self) -> str:
@@ -156,7 +153,7 @@ class CircularWitness:
             lines += [f"from   {text_of_bool(base.left)} == {text_of_bool(base.right)}",
                       f"  {OccSubst(1, premise.left, premise.right)}",
                       f"lemma  {text_of_bool(d.left)} == {text_of_bool(d.right)}"]
-        lines.append(f"conclusion {self.conclusion} is circular")
+        lines.append(f"conclusion {text_of_literal(self.conclusion)} is circular")
         return "\n".join(lines)
 
     __str__ = describe
@@ -614,7 +611,8 @@ class DefState:
 
 @dataclass(frozen=True)
 class SatCheck:
-    """Outcome of literal_sat; on success carries a one-world model seed."""
+    """Outcome of literal_sat; on success carries a one-world model seed.
+    `detail` names the literal that failed, as `text_of_literal` prints it."""
 
     satisfiable: bool
     reason: str | None = None           # pattern-clash | circular | disequality | boolean
@@ -624,41 +622,41 @@ class SatCheck:
     valuation: dict[Atom, bool] | None = None
 
 
-def literal_sat(equivs, constraints=()) -> SatCheck:
-    """Decide a finite set of (dis)equivalences plus boolean constraints.
+def literal_sat(literals) -> SatCheck:
+    """Decide a finite set of literals: equivalences `P == Q`, their
+    negations `~(P == Q)`, and boolean formulas asserted true.
 
-    Satisfiable iff the positive equivalences unify, no negative literal is
-    forced equal after resolution, and some truth assignment to the class
-    representatives makes every boolean constraint true.  The model seed maps
-    each atom to its resolved definition and extends the representative
-    assignment to defined atoms.
+    Satisfiable iff the equivalences unify, taken in list order, no negated
+    equivalence is forced equal after resolution, and some truth assignment
+    to the class representatives makes every boolean formula true.  The
+    verdict does not depend on where the negated equivalences and boolean
+    formulas stand among the equivalences.  The model seed maps each atom
+    to its resolved definition and extends the representative assignment
+    to defined atoms.
     """
-    equivs = list(equivs)
-    constraints = list(constraints)
+    literals = list(literals)
     state = DefState()
-    for lit in equivs:
-        if not lit.positive:
-            continue
-        try:
-            state._consume(lit.left, lit.right, Derivation("input", lit.left, lit.right))
-        except PatternClash as e:
-            return SatCheck(False, "pattern-clash", f"{lit}: {e}")
-        except CircularityDetected as e:
-            return SatCheck(False, "circular", f"{lit}: {e}", witness=e.witness)
+    for lit in literals:
+        if type(lit) is EquivF:
+            try:
+                state._consume(lit.left, lit.right, Derivation("input", lit.left, lit.right))
+            except PatternClash as e:
+                return SatCheck(False, "pattern-clash", f"{text_of_literal(lit)}: {e}")
+            except CircularityDetected as e:
+                return SatCheck(False, "circular", f"{text_of_literal(lit)}: {e}",
+                                witness=e.witness)
 
-    for lit in equivs:
-        if lit.positive:
-            continue
-        if state.resolve(lit.left) == state.resolve(lit.right):
-            return SatCheck(False, "disequality", f"{lit} is violated: both sides resolve to "
-                            f"{text_of_bool(state.resolve(lit.left))}")
+    constraints = []
+    for lit in literals:
+        if type(lit) is Neg and type(lit.inner) is EquivF:
+            left = state.resolve(lit.inner.left)
+            if _same(left, state.resolve(lit.inner.right)):
+                return SatCheck(False, "disequality", f"{text_of_literal(lit)} is violated: "
+                                f"both sides resolve to {text_of_bool(left)}")
+        elif type(lit) is not EquivF:
+            constraints.append(lit)
 
-    vocab: set[Atom] = set()
-    for lit in equivs:
-        vocab |= vocabulary(lit.left) | vocabulary(lit.right)
-    for c in constraints:
-        vocab |= vocabulary(c)
-    vocab_sorted = sorted(vocab)
+    vocab_sorted = sorted(set().union(*map(vocabulary, literals)))
 
     resolved = {a: state.resolve(a) for a in vocab_sorted}
     # every free representative is in the vocabulary and resolves to itself
@@ -679,27 +677,23 @@ def literal_sat(equivs, constraints=()) -> SatCheck:
                     "the boolean constraints")
 
 
-def parse_literal_lines(text: str) -> tuple[list[EquivLiteral], list[BoolForm]]:
-    """Parse a literal file: one `P == Q`, `P != Q`, or boolean formula per line.
+def parse_literal_lines(text: str) -> list[Form]:
+    """Parse a literal file: one `P == Q`, `P != Q`, or boolean formula per
+    line, into the formulas `P == Q`, `~(P == Q)` and the boolean formulas,
+    in file order.
 
     Blank lines and lines starting with `#` are skipped.
     """
-    equivs: list[EquivLiteral] = []
-    constraints: list[BoolForm] = []
+    literals: list[Form] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         f = parse_form(line)
         match f:
-            case EquivF(left, right):
-                equivs.append(EquivLiteral(True, left, right))
-            case Neg(EquivF(left, right)):
-                equivs.append(EquivLiteral(False, left, right))
-            case _:
-                if any(type(g) not in (Atom, Neg, And) for g in postorder(f)):
-                    raise ValueError(
-                        f"line {lineno}: expected P == Q, P != Q, or a boolean formula"
-                    )
-                constraints.append(f)
-    return equivs, constraints
+            case EquivF() | Neg(EquivF()):
+                pass
+            case _ if any(type(g) not in (Atom, Neg, And) for g in postorder(f)):
+                raise ValueError(f"line {lineno}: expected P == Q, P != Q, or a boolean formula")
+        literals.append(f)
+    return literals

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .checker import evaluate
-from .definitions import CircularWitness, Derivation, EquivLiteral, literal_sat
+from .definitions import CircularWitness, Derivation, literal_sat
 from .models import Cnf, Model, Premodel, first_model, json_typed, validate
 from .syntax import (
     And, AnnF, Atom, BoolForm, BoxF, DefIsF, EquivF, Form, KdF, Neg, OccSubst,
@@ -410,23 +410,18 @@ def _explore(pending: list[Form], literals: list[Form], world_id: str):
             case _:
                 raise TypeError(f"not a formula: {f!r}")
 
-    equivs: list[EquivLiteral] = []
-    constraints: list[BoolForm] = []
+    local: list[Form] = []  # the literals of this world
     boxes: dict[str, list[Form]] = {}
     diamonds: list[tuple[str, Form]] = []
     for f in literals:
         match f:
-            case Atom() | Neg(Atom()):
-                constraints.append(f)
-            case EquivF(left, right):
-                equivs.append(EquivLiteral(True, left, right))
-            case Neg(EquivF(left, right)):
-                equivs.append(EquivLiteral(False, left, right))
             case BoxF(agent, inner):
                 boxes.setdefault(agent, []).append(inner)
             case Neg(BoxF(agent, inner)):
                 diamonds.append((agent, Neg(inner)))
-    closure = literal_sat(equivs, constraints)
+            case _:
+                local.append(f)
+    closure = literal_sat(local)
     if not closure.satisfiable:
         return None
     children = []
@@ -531,17 +526,18 @@ def _conjuncts(f: Form) -> tuple[Form, ...]:
 def witness_to_proof(witness: CircularWitness, literals) -> list[ProofLine]:
     """Compile a circularity witness into a hypothesis-free Hilbert proof.
 
-    `literals` are the literals the witness was found on, of both signs,
-    including those it does not use.  The proof derives `~C`, where C is the
-    conjunction, in input order, of the positive literals that the witness
-    uses.  Every intermediate equivalence lit is carried as `C_S -> lit`,
-    where C_S is the conjunction, in input order, of the premises S that
-    lit's derivation uses; it is chained through definition-axiom instances
-    with tautology glue that weakens each premise's C_S to their union's, and
-    the circular conclusion is refuted by the non-circularity axiom.  The
-    lemmas, nested as deep as the cycle is long, compile without recursion.
+    `literals` is the list the witness was found on, as `literal_sat` took
+    it, with the items the witness does not use.  The proof derives `~C`,
+    where C is the conjunction, in input order, of the equivalences `P == Q`
+    of that list that the witness uses.  Every intermediate equivalence lit
+    is carried as `C_S -> lit`, where C_S is the conjunction, in input
+    order, of the premises S that lit's derivation uses; it is chained
+    through definition-axiom instances with tautology glue that weakens each
+    premise's C_S to their union's, and the circular conclusion is refuted
+    by the non-circularity axiom.  The lemmas, nested as deep as the cycle
+    is long, compile without recursion.
     """
-    premise_forms = [EquivF(lit.left, lit.right) for lit in literals if lit.positive]
+    premise_forms = [lit for lit in literals if type(lit) is EquivF]
     position: dict[Form, int] = {}  # a premise's first position
     firsts = [position.setdefault(f, k) for k, f in enumerate(premise_forms)]
     hypotheses: dict[frozenset[int], Form] = {}

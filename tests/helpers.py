@@ -435,18 +435,22 @@ def enumerate_single_world_models(atoms, def_depth: int = 2):
                 )
 
 
-def single_world_oracle(equivs, constraints, atoms, def_depth: int = 2) -> bool:
-    """Exhaustively search one-world models satisfying all the literals."""
+def single_world_oracle(literals, atoms, def_depth: int = 2) -> bool:
+    """Exhaustively search one-world models satisfying all the literals:
+    `P == Q`, `~(P == Q)` and boolean formulas."""
     for pm in enumerate_single_world_models(atoms, def_depth):
-        ok = True
-        for lit in equivs:
-            same = unravel(pm, "w", lit.left) == unravel(pm, "w", lit.right)
-            if same != lit.positive:
-                ok = False
-                break
-        if ok and all(eval_bool(pm, "w", c) for c in constraints):
+        if all(_holds_in_one_world(pm, lit) for lit in literals):
             return True
     return False
+
+
+def _holds_in_one_world(pm: Premodel, lit) -> bool:
+    match lit:
+        case EquivF(left, right):
+            return unravel(pm, "w", left) == unravel(pm, "w", right)
+        case Neg(EquivF() as equiv):
+            return not _holds_in_one_world(pm, equiv)
+    return eval_bool(pm, "w", lit)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +679,7 @@ def witness_proof_files() -> tuple[str, ...]:
     refutes the premises its witness uses: 1,234 files."""
     files = []
     for lines in witness_digest_corpus():
-        equivs, _ = parse_literal_lines("\n".join(lines))
+        equivs = parse_literal_lines("\n".join(lines))
         res = literal_sat(equivs)
         if res.witness is not None:
             files.append(proof_to_json(witness_to_proof(res.witness, equivs)))

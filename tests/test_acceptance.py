@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from paldef.checker import eval_global, evaluate
-from paldef.definitions import EquivLiteral, literal_sat, merge
+from paldef.definitions import literal_sat, merge
 from paldef.models import (
     Model, Premodel, dumps, eval_bool, fixture_names, fixture_path, load,
     loads, single_world_model, unravel, validate,
@@ -100,13 +100,13 @@ def test_criterion_02_syntactic_measures():
 # Criterion 3: circularity pipeline, exact
 
 def test_criterion_03_circularity_pipeline():
-    lits = [EquivLiteral(True, p, And(q, r)),
-            EquivLiteral(True, q, And(p, r)),
-            EquivLiteral(True, s, p)]
+    lits = [EquivF(p, And(q, r)),
+            EquivF(q, And(p, r)),
+            EquivF(s, p)]
     result = literal_sat(lits)
     assert not result.satisfiable and result.reason == "circular"
     witness = result.witness
-    assert witness.conclusion == EquivLiteral(True, p, parse_bool("((p & r) & r)"))
+    assert witness.conclusion == EquivF(p, parse_bool("((p & r) & r)"))
     assert is_circular(witness.conclusion.left, witness.conclusion.right)
     assert witness.replay() == witness.conclusion
     proof = witness_to_proof(witness, lits)
@@ -411,8 +411,7 @@ def test_criterion_07c_knowledge_transfer_validity(suite_pool):
 def test_criterion_08_noncompactness_prefixes():
     for n in range(2, 6):
         chain_atoms = [Atom(f"p{k}") for k in range(1, n + 3)]
-        lits = [EquivLiteral(True, chain_atoms[i - 1],
-                             And(chain_atoms[i], chain_atoms[i + 1]))
+        lits = [EquivF(chain_atoms[i - 1], And(chain_atoms[i], chain_atoms[i + 1]))
                 for i in range(1, n + 1)]
         result = literal_sat(lits)
         assert result.satisfiable, n

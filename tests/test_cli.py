@@ -398,6 +398,24 @@ class TestDeepInput:
         assert all(seed["def"][f"b{k}"] == f"a{k}" for k in range(n))
         assert not any(seed["valuation"].values())
 
+    @pytest.mark.parametrize("right,code,verdict", [
+        ("q", 0, "sat"),
+        ("p", 1, "unsat"),
+    ], ids=["apart", "equal"])
+    def test_defcheck_decides_a_deep_disequality(self, capsys, tmp_path, right, code, verdict):
+        # the two resolved sides are compared from an explicit stack
+        deep = "~" * 3000
+        path = tmp_path / "deep.lits"
+        path.write_text(f"{deep}p != {deep}{right}\n", encoding="utf-8")
+        got, out, err = run(capsys, "--machine", "defcheck", str(path))
+        assert got == code and "Traceback" not in err
+        data = json.loads(out)
+        assert data["verdict"] == verdict
+        if code:
+            assert data["details"]["reason"] == "disequality"
+            assert data["details"]["detail"] == (f"{deep}p != {deep}p is violated: "
+                                                 f"both sides resolve to {deep}p")
+
     def test_prove_verify_checks_a_deep_taut_line(self, capsys, tmp_path):
         # the tautology check encodes the ~/& skeleton from an explicit
         # stack; the only leaf is p

@@ -4,18 +4,19 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import paldef.definitions
 from paldef.definitions import (
-    CircularityDetected, CircularWitness, DefState, Derivation, EquivLiteral, PatternClash,
-    literal_sat, merge, merge_substitution, parse_literal_lines, pick,
+    CircularityDetected, CircularWitness, DefState, Derivation, PatternClash,
+    literal_sat, merge, merge_substitution, parse_literal_lines, pick, text_of_literal,
 )
 from paldef.models import truth
 from paldef.proof import proof_from_json, proof_to_json, verify_proof, witness_to_proof
 from paldef.syntax import (
-    And, Atom, Neg, OccSubst, apply_occ_subst, apply_simultaneous, is_circular, length,
+    And, Atom, EquivF, Neg, OccSubst, apply_occ_subst, apply_simultaneous, is_circular, length,
     parse_bool, postorder, text_of_batch, text_of_form, vocabulary,
 )
 
@@ -103,7 +104,7 @@ class TestAssertEquiv:
         with pytest.raises(CircularityDetected) as err:
             state.assert_equiv(q, And(p, r)).assert_equiv(s, p)
         assert err.value.witness.conclusion == \
-            EquivLiteral(True, p, parse_bool("((p & r) & r)"))
+            EquivF(p, parse_bool("((p & r) & r)"))
 
     def test_pattern_clash(self):
         with pytest.raises(PatternClash):
@@ -125,7 +126,7 @@ class TestAssertEquiv:
         with pytest.raises(CircularityDetected) as err:
             state.assert_equiv(q, s)
         assert err.value.witness.conclusion == \
-            EquivLiteral(True, p, parse_bool("((p & r) & r)"))
+            EquivF(p, parse_bool("((p & r) & r)"))
 
     def test_representatives_are_least_and_images_resolve_closed(self):
         # class representatives are the alphabetically least members, and no
@@ -206,36 +207,34 @@ class TestPick:
 
 class TestLiteralSat:
     def test_contradictory_pair(self):
-        res = literal_sat([EquivLiteral(True, p, q), EquivLiteral(False, p, q)])
+        res = literal_sat([EquivF(p, q), Neg(EquivF(p, q))])
         assert not res.satisfiable and res.reason == "disequality"
 
     def test_forced_valuation_conflict(self):
-        res = literal_sat([EquivLiteral(True, p, And(q, r))], [p, Neg(q)])
+        res = literal_sat([EquivF(p, And(q, r)), p, Neg(q)])
         assert not res.satisfiable and res.reason == "boolean"
-        assert not single_world_oracle(
-            [EquivLiteral(True, p, And(q, r))], [p, Neg(q)], (p, q, r))
+        assert not single_world_oracle([EquivF(p, And(q, r)), p, Neg(q)], (p, q, r))
 
     def test_satisfiable_with_seed(self):
-        res = literal_sat([EquivLiteral(True, p, And(q, r))], [p])
+        res = literal_sat([EquivF(p, And(q, r)), p])
         assert res.satisfiable
         assert res.definitions[p] == And(q, r)
         assert res.valuation[q] and res.valuation[r] and res.valuation[p]
-        assert single_world_oracle(
-            [EquivLiteral(True, p, And(q, r))], [p], (p, q, r))
+        assert single_world_oracle([EquivF(p, And(q, r)), p], (p, q, r))
 
     def test_clash_reason(self):
-        res = literal_sat([EquivLiteral(True, Neg(p), And(q, r))])
+        res = literal_sat([EquivF(Neg(p), And(q, r))])
         assert not res.satisfiable and res.reason == "pattern-clash"
 
     def test_circular_reason_carries_witness(self):
-        res = literal_sat([EquivLiteral(True, p, And(q, r)),
-                           EquivLiteral(True, q, And(p, r))])
+        res = literal_sat([EquivF(p, And(q, r)),
+                           EquivF(q, And(p, r))])
         assert not res.satisfiable and res.reason == "circular"
         assert res.witness is not None
         assert res.witness.replay() == res.witness.conclusion
 
     def test_negative_literal_satisfiable_when_not_forced(self):
-        res = literal_sat([EquivLiteral(False, And(p, q), And(q, p))])
+        res = literal_sat([Neg(EquivF(And(p, q), And(q, p)))])
         assert res.satisfiable
 
     def test_deep_equivalence_is_decided(self):
@@ -244,7 +243,7 @@ class TestLiteralSat:
         left, right = Atom("a0"), Atom("b0")
         for k in range(1, n):
             left, right = And(left, Atom(f"a{k}")), And(right, Atom(f"b{k}"))
-        res = literal_sat([EquivLiteral(True, left, right)])
+        res = literal_sat([EquivF(left, right)])
         assert res.satisfiable
         assert all(res.definitions[Atom(f"b{k}")] == Atom(f"a{k}") for k in range(n))
 
@@ -253,23 +252,46 @@ class TestLiteralSat:
         atoms = (p, q, r)
         checked = 0
         for _ in range(60):
-            equivs = []
+            lits = []
             for _ in range(rng.randint(0, 2)):
-                equivs.append(EquivLiteral(
-                    rng.random() < 0.8, rng.choice(atoms),
-                    random_bool(rng, atoms, 5)))
-            constraints = [random_bool(rng, atoms, 5)
-                           for _ in range(rng.randint(0, 2))]
-            mine = literal_sat(equivs, constraints).satisfiable
-            oracle = single_world_oracle(equivs, constraints, atoms)
+                equiv = EquivF(rng.choice(atoms), random_bool(rng, atoms, 5))
+                lits.append(equiv if rng.random() < 0.8 else Neg(equiv))
+            lits += [random_bool(rng, atoms, 5) for _ in range(rng.randint(0, 2))]
+            mine = literal_sat(lits).satisfiable
+            oracle = single_world_oracle(lits, atoms)
             # the oracle's definition depth is bounded; it may miss models
             # needing deeper images, so only its positive verdicts bind tightly
             if oracle:
-                assert mine, (equivs, constraints)
+                assert mine, lits
             if not mine:
-                assert not oracle, (equivs, constraints)
+                assert not oracle, lits
             checked += 1
         assert checked == 60
+
+
+    def test_where_the_other_literals_stand_does_not_matter(self):
+        # the equivalences unify in list order, whatever stands between them
+        rng = random.Random(30)
+        atoms = (p, q, r, s)
+        reasons = Counter()
+        for _ in range(300):
+            equivs = [EquivF(rng.choice(atoms), random_bool(rng, atoms, 5))
+                      for _ in range(rng.randint(1, 3))]
+            others = [Neg(EquivF(random_bool(rng, atoms, 3), random_bool(rng, atoms, 3)))
+                      for _ in range(rng.randint(0, 2))]
+            others += [random_bool(rng, atoms, 5) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(others)
+            slots = sorted(rng.choices(range(len(equivs) + 1), k=len(others)))
+            between = list(equivs)
+            for k, (slot, lit) in enumerate(zip(slots, others)):
+                between.insert(slot + k, lit)
+            before, middle, after = (
+                (res.reason, res.detail, res.definitions, res.valuation)
+                for res in map(literal_sat, (others + equivs, between, equivs + others)))
+            assert before == middle == after, between
+            reasons[before[0]] += 1
+        assert set(reasons) == {None, "pattern-clash", "circular", "disequality", "boolean"}
+        assert min(reasons.values()) >= 10, reasons
 
 
 def _iff(a, b):
@@ -284,7 +306,7 @@ class TestLiteralSatAgainstTruthTable:
             constraints = [random_bool(rng, (p, q, r, s), 8) for _ in range(rng.randint(1, 6))]
             atoms = set().union(*map(vocabulary, constraints))
             least = next(truth_table_models(constraints, atoms), None)
-            result = literal_sat([], constraints)
+            result = literal_sat(constraints)
             verdicts.append(result.satisfiable)
             assert result.satisfiable == (least is not None), constraints
             if result.satisfiable:
@@ -303,10 +325,10 @@ class TestLiteralSatAgainstTruthTable:
             equivs = []
             for k in rng.sample(range(3), rng.randint(0, 3)):
                 image = random_bool(rng, atoms[k + 1:], 7)
-                equivs.append(EquivLiteral(True, atoms[k], image))
+                equivs.append(EquivF(atoms[k], image))
             constraints = [random_bool(rng, atoms, 7) for _ in range(rng.randint(1, 4))]
             as_iffs = [_iff(lit.left, lit.right) for lit in equivs]
-            result = literal_sat(equivs, constraints)
+            result = literal_sat(equivs + constraints)
             brute = next(truth_table_models(constraints + as_iffs, atoms), None)
             verdicts.append(result.satisfiable)
             assert result.satisfiable == (brute is not None), (equivs, constraints)
@@ -337,7 +359,7 @@ class TestClosureOracleAgreement:
             closure = BoundedClosure(lits)
             if closure.truncated:
                 continue
-            res = literal_sat([EquivLiteral(True, a, b) for a, b in lits])
+            res = literal_sat([EquivF(a, b) for a, b in lits])
             assert res.satisfiable == (not closure.contradiction), lits
             if res.satisfiable:
                 sat_seen += 1
@@ -353,7 +375,7 @@ class TestClosureOracleAgreement:
             closure = BoundedClosure(lits)
             if closure.truncated or closure.contradiction:
                 continue
-            res = literal_sat([EquivLiteral(True, a, b) for a, b in lits])
+            res = literal_sat([EquivF(a, b) for a, b in lits])
             if not res.satisfiable:
                 continue
             state = DefState()
@@ -377,13 +399,13 @@ class TestWitness:
         with pytest.raises(CircularityDetected) as err:
             DefState().assert_equiv(p, Neg(p))
         w = err.value.witness
-        assert w.conclusion == EquivLiteral(True, p, Neg(p))
+        assert w.conclusion == EquivF(p, Neg(p))
         assert w.derivation == Derivation("input", p, Neg(p))
 
     def test_two_step_chain(self):
         with pytest.raises(CircularityDetected) as err:
             DefState().assert_equiv(p, r).assert_equiv(r, And(p, q))
-        assert err.value.witness.conclusion == EquivLiteral(True, p, And(p, q))
+        assert err.value.witness.conclusion == EquivF(p, And(p, q))
 
     def test_witnesses_replay_and_are_circular(self):
         rng = random.Random(17)
@@ -448,7 +470,7 @@ class TestWitness:
                        .assert_equiv(b, d)
                        .assert_equiv(d, And(a, c)))
         assert err.value.witness.conclusion == \
-            EquivLiteral(True, a, And(And(a, c), c))
+            EquivF(a, And(And(a, c), c))
 
     def test_union_edge_is_the_earliest_event(self):
         a, b, c, d = (Atom(n) for n in "abcd")
@@ -457,26 +479,26 @@ class TestWitness:
                        .assert_equiv(b, And(a, c))
                        .assert_equiv(a, And(d, c)))
         assert err.value.witness.conclusion == \
-            EquivLiteral(True, d, And(And(d, c), c))
+            EquivF(d, And(And(d, c), c))
 
     def test_substitution_at_a_second_occurrence(self):
         # a chain from c's image once substituted the second d of ~(d & ~d);
         # composed innermost first, each lemma substitutes a first occurrence
         # into one image: a's, then c's
-        equivs, _ = parse_literal_lines("c == ~(d & a)\na == ~d\na == ~(c & b)")
+        equivs = parse_literal_lines("c == ~(d & a)\na == ~d\na == ~(c & b)")
         witness = literal_sat(equivs).witness
-        assert str(witness.conclusion) == "c == ~(d & ~(c & b))"
+        assert text_of_literal(witness.conclusion) == "c == ~(d & ~(c & b))"
         outer = witness.derivation
         premise, base = outer.parts
         inner_premise, inner_base = premise.parts
         assert [outer.rule, premise.rule] == ["occurrence-substitution"] * 2
-        assert [str(EquivLiteral(True, d.left, d.right))
+        assert [text_of_literal(EquivF(d.left, d.right))
                 for d in (inner_premise, inner_base, premise, base)] == [
             "d == (c & b)", "a == ~d", "a == ~(c & b)", "c == ~(d & a)"]
 
     def test_witness_description_mentions_conclusion(self):
-        res = literal_sat([EquivLiteral(True, p, And(q, r)),
-                           EquivLiteral(True, q, And(p, r))])
+        res = literal_sat([EquivF(p, And(q, r)),
+                           EquivF(q, And(p, r))])
         text = res.witness.describe()
         assert "p == ((p & r) & r)" in text and "circular" in text
 
@@ -490,7 +512,7 @@ class TestWitnessDigest:
         h = hashlib.sha256()
         circular = 0
         for lines in witness_digest_corpus():
-            equivs, _ = parse_literal_lines("\n".join(lines))
+            equivs = parse_literal_lines("\n".join(lines))
             res = literal_sat(equivs)
             h.update(f"{res.reason}|{res.detail}\n".encode())
             if res.witness is not None:
@@ -512,12 +534,12 @@ class TestWitnessDigest:
         h = hashlib.sha256()
         circular = 0
         for lines in witness_digest_corpus():
-            equivs, _ = parse_literal_lines("\n".join(lines))
+            equivs = parse_literal_lines("\n".join(lines))
             res = literal_sat(equivs)
             h.update(f"{res.reason}|{res.detail}\n".encode())
             if res.witness is not None:
                 circular += 1
-                h.update(str(res.witness.conclusion).encode())
+                h.update(text_of_literal(res.witness.conclusion).encode())
                 h.update(res.witness.describe().encode())
                 h.update(proof_to_json(witness_to_proof(res.witness, equivs)).encode())
         assert circular == 1234
@@ -534,12 +556,12 @@ class TestWitnessDigest:
         h = hashlib.sha256()
         circular = 0
         for lines in witness_digest_corpus():
-            equivs, _ = parse_literal_lines("\n".join(lines))
+            equivs = parse_literal_lines("\n".join(lines))
             res = literal_sat(equivs)
             h.update(f"{res.reason}|{res.detail}\n".encode())
             if res.witness is not None:
                 circular += 1
-                h.update(str(res.witness.conclusion).encode())
+                h.update(text_of_literal(res.witness.conclusion).encode())
                 h.update(res.witness.describe().encode())
                 text = proof_to_json(witness_to_proof(res.witness, equivs))
                 for line in proof_from_json(text):
@@ -559,7 +581,7 @@ class TestWitnessDigest:
         h = hashlib.sha256()
         sat = 0
         for lines in seed_digest_corpus():
-            res = literal_sat(*parse_literal_lines("\n".join(lines)))
+            res = literal_sat(parse_literal_lines("\n".join(lines)))
             if res.satisfiable:
                 sat += 1
                 defs = sorted(res.definitions.items())
@@ -582,7 +604,7 @@ class TestWitnessDigest:
     def test_verdicts_and_proof_outcomes_are_unchanged(self):
         h = hashlib.sha256()
         for lines in seed_digest_corpus():
-            res = literal_sat(*parse_literal_lines("\n".join(lines)))
+            res = literal_sat(parse_literal_lines("\n".join(lines)))
             if res.satisfiable:
                 defs = sorted(res.definitions.items())
                 texts = text_of_batch([image for _, image in defs], sugar=False)
@@ -593,7 +615,7 @@ class TestWitnessDigest:
                 h.update(f"{res.reason}|{detail}\n".encode())
         accepted = 0
         for lines in witness_digest_corpus():
-            equivs, _ = parse_literal_lines("\n".join(lines))
+            equivs = parse_literal_lines("\n".join(lines))
             res = literal_sat(equivs)
             if res.witness is not None:
                 ok = verify_proof(witness_to_proof(res.witness, equivs)).ok
@@ -624,7 +646,7 @@ def _count_lookups(monkeypatch, budget: Budget, field: str) -> None:
 
 
 def _sat(lines: list[str]):
-    return literal_sat(parse_literal_lines("\n".join(lines))[0])
+    return literal_sat(parse_literal_lines("\n".join(lines)))
 
 
 _CYCLES = {
@@ -650,7 +672,7 @@ class TestGrowth:
             return truth(formula, assignment)
 
         monkeypatch.setattr(paldef.definitions, "truth", counting_truth)
-        res = literal_sat([], [Atom(f"x{k}") for k in range(n)])
+        res = literal_sat([Atom(f"x{k}") for k in range(n)])
         assert res.satisfiable and all(res.valuation.values())
 
     @pytest.mark.parametrize("n", [200, 400, 800])
@@ -705,16 +727,20 @@ class TestGrowth:
 
 class TestLiteralParsing:
     def test_mixed_file(self):
-        equivs, constraints = parse_literal_lines(
+        literals = parse_literal_lines(
             "# definitional part\n"
             "p == (q & r)\n"
             "p != ~q\n"
             "\n"
             "(p & ~r)\n"
         )
-        assert equivs == [EquivLiteral(True, p, And(q, r)),
-                          EquivLiteral(False, p, Neg(q))]
-        assert constraints == [And(p, Neg(r))]
+        assert literals == [EquivF(p, And(q, r)), Neg(EquivF(p, Neg(q))), And(p, Neg(r))]
+
+    def test_a_literal_has_no_second_type(self):
+        # a literal is its formula; the former EquivLiteral is gone
+        assert not hasattr(paldef, "EquivLiteral")
+        assert "EquivLiteral" not in paldef.definitions.__all__
+        assert not hasattr(paldef.definitions, "EquivLiteral")
 
     def test_rejects_modal_lines(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import paldef.proof
 from paldef import syntax
 from paldef.checker import evaluate
 from paldef.definitions import (
-    CircularWitness, Derivation, EquivLiteral, literal_sat, parse_literal_lines,
+    CircularWitness, Derivation, literal_sat, parse_literal_lines,
 )
 from paldef.models import Model, dumps, validate
 from paldef.proof import (
@@ -471,9 +471,9 @@ class TestValid:
 
 class TestWitnessProofs:
     def test_grow_non_circular_compiles_and_verifies(self):
-        lits = [EquivLiteral(True, p, And(q, r)),
-                EquivLiteral(True, q, And(p, r)),
-                EquivLiteral(True, s, p)]
+        lits = [EquivF(p, And(q, r)),
+                EquivF(q, And(p, r)),
+                EquivF(s, p)]
         res = literal_sat(lits)
         assert res.reason == "circular"
         proof = witness_to_proof(res.witness, lits)
@@ -482,8 +482,8 @@ class TestWitnessProofs:
         assert proof[-1].formula == Neg(And(EquivF(p, And(q, r)), EquivF(q, And(p, r))))
 
     def test_corrupted_witness_proofs_are_rejected(self):
-        lits = [EquivLiteral(True, p, And(q, r)),
-                EquivLiteral(True, q, And(p, r))]
+        lits = [EquivF(p, And(q, r)),
+                EquivF(q, And(p, r))]
         proof = witness_to_proof(literal_sat(lits).witness, lits)
         assert verify_proof(proof).ok
         for i, line in enumerate(proof):
@@ -504,8 +504,7 @@ class TestWitnessProofs:
         for _ in range(200):
             lits = []
             for _ in range(rng.randint(1, 4)):
-                lits.append(EquivLiteral(
-                    True, rng.choice((p, q, r, s)), random_bool(rng, (p, q, r, s), 9)))
+                lits.append(EquivF(rng.choice((p, q, r, s)), random_bool(rng, (p, q, r, s), 9)))
             res = literal_sat(lits)
             if res.reason != "circular":
                 continue
@@ -523,7 +522,7 @@ class TestWitnessProofs:
             lits = []
             for _ in range(rng.randint(2, 6)):
                 rhs = rng.choice(atoms) if rng.random() < 0.3 else random_bool(rng, atoms, 7)
-                lits.append(EquivLiteral(True, rng.choice(atoms), rhs))
+                lits.append(EquivF(rng.choice(atoms), rhs))
             res = literal_sat(lits)
             if res.reason != "circular":
                 continue
@@ -531,7 +530,7 @@ class TestWitnessProofs:
             outcome = verify_proof(proof)
             assert outcome.ok, (lits, str(outcome))
             # C is the premises that some lemma rests on, in input order
-            premises = [EquivF(l.left, l.right) for l in lits]
+            premises = lits
             refuted = _conjuncts(proof[-1].formula.inner)
             assert refuted == [f for f in premises if f in refuted]
             rested_on = {f for line in proof
@@ -547,14 +546,14 @@ class TestWitnessProofs:
         atoms = (p, q, r, s, Atom("t"))
         checked = narrowed = 0
         for _ in range(300):
-            lits = [EquivLiteral(True, rng.choice(atoms),
-                                 rng.choice(atoms) if rng.random() < 0.3
-                                 else random_bool(rng, atoms, 7))
+            lits = [EquivF(rng.choice(atoms),
+                           rng.choice(atoms) if rng.random() < 0.3
+                           else random_bool(rng, atoms, 7))
                     for _ in range(rng.randint(2, 6))]
             res = literal_sat(lits)
             if res.reason != "circular":
                 continue
-            premises = [EquivF(l.left, l.right) for l in lits]
+            premises = lits
             allowed = _premise_sets(res.witness, premises)
             proof = witness_to_proof(res.witness, lits)
             assert verify_proof(proof).ok
@@ -576,9 +575,9 @@ class TestWitnessProofs:
         assert checked > 150 and narrowed > 300
 
     def test_literals_without_a_premise_the_witness_uses_are_refused(self):
-        equivs, _ = parse_literal_lines("p == (q & r)\nq == (p & r)")
+        equivs = parse_literal_lines("p == (q & r)\nq == (p & r)")
         witness = literal_sat(equivs).witness
-        negated = EquivLiteral(False, equivs[1].left, equivs[1].right)
+        negated = Neg(equivs[1])
         for given in (equivs[:1], equivs[1:], [negated, equivs[0]]):
             with pytest.raises(ValueError, match="witness uses unknown premise"):
                 witness_to_proof(witness, given)
@@ -586,7 +585,7 @@ class TestWitnessProofs:
     def test_unused_premises_stay_out_of_the_lemmas(self):
         used = ["x0 == (x1 & r)", "x1 == (x0 & r)"]
         other = [f"y{k} == ~z{k}" for k in range(28)]
-        equivs, _ = parse_literal_lines("\n".join(other[:14] + used + other[14:]))
+        equivs = parse_literal_lines("\n".join(other[:14] + used + other[14:]))
         proof = witness_to_proof(literal_sat(equivs).witness, equivs)
         unused = {Atom(f"{c}{k}") for c in "yz" for k in range(28)}
         for line in proof:
@@ -597,7 +596,7 @@ class TestWitnessProofs:
     def test_every_step_names_a_law_with_a_premise_side(self):
         rules = set()
         for lines in witness_digest_corpus():
-            witness = literal_sat(parse_literal_lines("\n".join(lines))[0]).witness
+            witness = literal_sat(parse_literal_lines("\n".join(lines))).witness
             if witness is None:
                 continue
             todo = [witness.derivation]
@@ -615,7 +614,7 @@ class TestWitnessProofs:
             assert (as_iff(schema) or as_imp(schema)) is not None, rule
 
     def test_a_hand_built_derivation_compiles_and_verifies(self):
-        lits = [EquivLiteral(True, p, q), EquivLiteral(True, q, And(p, r))]
+        lits = [EquivF(p, q), EquivF(q, And(p, r))]
         base = Derivation("transitivity", p, And(p, r), (
             Derivation("input", p, q), Derivation("input", q, And(p, r))))
         witness = CircularWitness(base)
@@ -635,7 +634,7 @@ class TestWitnessProofs:
         ("modus-ponens", [(p, And(p, r))]),          # no such law
     ])
     def test_steps_whose_parts_do_not_fit_their_law_are_refused(self, rule, parts):
-        lits = [EquivLiteral(True, left, right) for left, right in parts]
+        lits = [EquivF(left, right) for left, right in parts]
         base = Derivation(rule, p, And(p, r), tuple(
             Derivation("input", left, right) for left, right in parts))
         witness = CircularWitness(base)
@@ -644,7 +643,7 @@ class TestWitnessProofs:
 
     @pytest.mark.parametrize("n,line", [(18, None), (19, 105)])
     def test_the_tautology_budget_stops_circular_chains_after_18(self, n, line):
-        equivs, _ = parse_literal_lines(
+        equivs = parse_literal_lines(
             "".join(f"x{k} == (x{(k + 1) % n} & r)\n" for k in range(n)))
         outcome = verify_proof(witness_to_proof(literal_sat(equivs).witness, equivs))
         assert outcome.ok is (line is None)
@@ -705,7 +704,7 @@ class TestGrowth:
 
     @pytest.mark.parametrize("n", [12, 24, 48])
     def test_a_proof_file_reads_each_repeated_span_once(self, monkeypatch, n):
-        equivs, _ = parse_literal_lines("\n".join(f"x{k} == (x{(k + 1) % n} & r)"
+        equivs = parse_literal_lines("\n".join(f"x{k} == (x{(k + 1) % n} & r)"
                                                   for k in range(n)))
         text = proof_to_json(witness_to_proof(literal_sat(equivs).witness, equivs))
         data = json.loads(text)

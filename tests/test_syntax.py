@@ -11,7 +11,7 @@ import pytest
 import paldef
 from paldef import syntax
 from paldef.checker import _subformulas
-from paldef.definitions import DefState, EquivLiteral, literal_sat, parse_literal_lines
+from paldef.definitions import DefState, literal_sat, parse_literal_lines
 from paldef.models import single_world_model, truth, unravel
 from paldef.syntax import (
     And, AnnF, Atom, BoxF, DefIsF, EquivF, KdF, Neg, OccSubst, ParseError,
@@ -212,7 +212,7 @@ _DEEP_CASES = {
     "substitute": (lambda P: text_of_bool(substitute(P, lambda a: And(q, r) if a == p else a)),
                    _p_defined),
     "text_of_form": (text_of_form, lambda t: t),
-    "parse_literal_lines": (lambda P: text_of_bool(parse_literal_lines(text_of_bool(P))[1][0]),
+    "parse_literal_lines": (lambda P: text_of_bool(parse_literal_lines(text_of_bool(P))[0]),
                             lambda t: t),
     "unravel": (lambda P: text_of_bool(unravel(_P_IS_Q_AND_R, "w0", P)), _p_defined),
     "truth": (lambda P: truth(P, {p: True, q: True, r: True}), lambda t: t.count("~") % 2 == 0),
@@ -234,7 +234,7 @@ class TestDeepFormulas:
 
     def test_long_definition_chain_is_satisfiable(self):
         n = 6_000
-        chain = [EquivLiteral(True, Atom(f"x{k}"), And(Atom(f"x{k + 1}"), r)) for k in range(n)]
+        chain = [EquivF(Atom(f"x{k}"), And(Atom(f"x{k + 1}"), r)) for k in range(n)]
         assert literal_sat(chain).satisfiable
 
 

@@ -35,6 +35,9 @@ about 500 premises: n = 500 on the chain and the union path, n = 250 on
 the circular unions.  A size at which `literal_sat` recurses too deeply
 reads RecursionError.
 
+Each family's lines are read with `parse_literal_lines`, whose one list of
+formulas `literal_sat` and `witness_to_proof` take as it is.
+
 Times are the least of N runs, in milliseconds, on this process's machine.
 """
 
@@ -67,7 +70,7 @@ def best_ms(repeat: int, fn):
 
 
 def literals(lines: list[str]):
-    return parse_literal_lines("\n".join(lines))[0]
+    return parse_literal_lines("\n".join(lines))
 
 
 def linear_rows(repeat: int):
@@ -84,8 +87,8 @@ def linear_rows(repeat: int):
 def circular_rows(repeat: int):
     yield "circular n", "lines", "bytes", "terms", "print ms", "read ms", "verify ms", "verdict"
     for n in CIRCULAR:
-        equivs = literals([f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)])
-        proof = witness_to_proof(literal_sat(equivs).witness, equivs)
+        lits = literals([f"x{k} == (x{(k + 1) % n} & r)" for k in range(n)])
+        proof = witness_to_proof(literal_sat(lits).witness, lits)
         text, printing = best_ms(repeat, lambda: proof_to_json(proof))
         parsed, reading = best_ms(repeat, lambda: proof_from_json(text))
         assert parsed == proof
